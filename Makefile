@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
+.PHONY: build test race vet check bench-smoke bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race
+# bench/ is a module of its own that `go build ./...` and `go test
+# ./...` at the root never compile, yet it imports the packages here:
+# vet it and run its smoke test (tiny sizes, ~3 s) so a change that
+# breaks the benchmark's build or its golden hashes fails the gate.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
+
+check: build vet test race bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -243,7 +243,8 @@ func RunContext(ctx context.Context, m *Model, cfg Config, ticks int) (*RunStats
 // RunImage simulates against an immutable image. Any number of RunImage
 // calls may share one image concurrently — per-session state (membrane
 // potentials, delay rings, PRNG streams) is instantiated privately, and
-// the spike output is bit-identical to Run on the image's model.
+// the spike output is bit-identical to Run on the image's model. It is
+// the one-lane case of the tick engine RunBatch drives with many lanes.
 func RunImage(img *Image, cfg Config, ticks int) (*RunStats, error) {
 	return sim.RunImage(img, cfg, ticks)
 }
@@ -253,13 +254,15 @@ func RunImageContext(ctx context.Context, img *Image, cfg Config, ticks int) (*R
 	return sim.RunImageContext(ctx, img, cfg, ticks)
 }
 
-// RunBatch advances several sessions of one image together: a single
-// tick loop sweeps every core once per tick with the session lanes
-// iterated innermost, so each core's crossbar is loaded once per tick
-// no matter how many sessions are resident. Every lane's trace, stats,
-// and final checkpoint are bit-identical to a solo RunImage of that
-// lane. Lanes may start from different checkpoints (ticks run relative
-// to each lane's own start tick).
+// RunBatch advances several sessions of one image together on the same
+// tick engine RunImage runs one lane of: the loop sweeps every core once
+// per tick with the session lanes iterated innermost, so each core's
+// crossbar is loaded once per tick no matter how many sessions are
+// resident. Every lane's trace, stats, and final checkpoint are
+// bit-identical to that session running alone. Lanes may start from
+// different checkpoints (ticks run relative to each lane's own start
+// tick); Config.Telemetry, Config.Faults and MeasurePhases describe the
+// shared loop, everything else is per lane.
 func RunBatch(img *Image, cfg Config, ticks int, lanes []BatchLane) (*BatchResult, error) {
 	return sim.RunBatch(img, cfg, ticks, lanes)
 }

@@ -20,28 +20,44 @@ import (
 // test in this file may block on Run without a watchdog.
 const chaosDeadline = 60 * time.Second
 
-// runWithDeadline runs Run on a watchdog: if the simulator has not
+// withDeadline runs one simulator call on a watchdog: if it has not
 // returned within chaosDeadline the test fails immediately instead of
 // hanging the suite — a deadlocked transport is exactly the bug class
 // this file guards against.
-func runWithDeadline(t *testing.T, m *truenorth.Model, cfg Config, ticks int) (*RunStats, error) {
+func withDeadline[T any](t *testing.T, run func() (T, error)) (T, error) {
 	t.Helper()
 	type result struct {
-		stats *RunStats
-		err   error
+		v   T
+		err error
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := Run(m, cfg, ticks)
-		done <- result{stats, err}
+		v, err := run()
+		done <- result{v, err}
 	}()
 	select {
 	case r := <-done:
-		return r.stats, r.err
+		return r.v, r.err
 	case <-time.After(chaosDeadline):
-		t.Fatalf("Run did not return within %v (transport hang)", chaosDeadline)
-		return nil, nil
+		t.Fatalf("run did not return within %v (transport hang)", chaosDeadline)
+		panic("unreachable")
 	}
+}
+
+// runWithDeadline is Run under the watchdog.
+func runWithDeadline(t *testing.T, m *truenorth.Model, cfg Config, ticks int) (*RunStats, error) {
+	t.Helper()
+	return withDeadline(t, func() (*RunStats, error) { return Run(m, cfg, ticks) })
+}
+
+// runLanesWithDeadline is RunBatch under the watchdog.
+func runLanesWithDeadline(t *testing.T, img *truenorth.Image, cfg Config, ticks int, lanes []BatchLane) ([]*RunStats, error) {
+	t.Helper()
+	res, err := withDeadline(t, func() (*BatchResult, error) { return RunBatch(img, cfg, ticks, lanes) })
+	if err != nil {
+		return nil, err
+	}
+	return res.Lanes, nil
 }
 
 // chaosInjector parses a fault spec and shrinks the wall-clock knobs so
@@ -61,33 +77,68 @@ func chaosInjector(t *testing.T, spec string) *faults.Injector {
 // completes with spike output bit-identical to the serial reference
 // (survivable faults are fully absorbed) or returns a non-nil error
 // naming the failing rank and tick (fatal faults propagate cleanly).
-// Either way Run returns before the watchdog fires.
+// Either way the run returns before the watchdog fires. Two-lane rows
+// run a fresh lane beside one resumed at tick 3, so the transports'
+// clock (lane 0's) and the second lane's differ; the split row runs
+// [0,6) and then resumes [6,12) under one injector, whose tick-selected
+// rules must fire exactly as in the unsplit run.
 func TestChaosMatrix(t *testing.T) {
 	const ticks = 12
 	m := randomModel(12, 0xFA17)
-	want, wantTotal := serialTrace(t, m, ticks)
+	img, err := truenorth.NewImage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := serialTrace(t, m, ticks)
+	wantLate, late, _ := serialWindow(t, m, 3, ticks, nil)
 
 	cases := []struct {
 		spec  string
 		fatal bool
+		lanes int // 0 means 1
+		split int // when non-zero, checkpoint at this tick and resume
 	}{
-		{"drop", false},
-		{"dup", false},
-		{"delay:k=2", false},
-		{"stall:rank=1,k=1", false},
-		{"drop;dup", false},
-		{"crash:rank=1,tick=5", true},
-		{"drop:attempts=99", true},
+		{spec: "drop"},
+		{spec: "dup"},
+		{spec: "delay:k=2"},
+		{spec: "stall:rank=1,k=1"},
+		{spec: "drop;dup"},
+		{spec: "crash:rank=1,tick=5", fatal: true},
+		{spec: "drop:attempts=99", fatal: true},
+		{spec: "drop;dup;delay:k=2", lanes: 2},
+		{spec: "crash:rank=1,tick=5", fatal: true, lanes: 2},
+		{spec: "dup:tick=3;drop:tick=9", split: 6},
 	}
 	for _, tr := range Transports() {
 		for _, tc := range cases {
-			t.Run(tr.String()+"/"+tc.spec, func(t *testing.T) {
+			name := tr.String() + "/" + tc.spec
+			if tc.lanes > 1 {
+				name += "/2-lane"
+			}
+			t.Run(name, func(t *testing.T) {
 				inj := chaosInjector(t, tc.spec)
 				cfg := Config{
 					Ranks: 3, ThreadsPerRank: 2, Transport: tr,
-					RecordTrace: true, Faults: inj,
+					RecordTrace: true, ReturnState: true, Faults: inj,
 				}
-				stats, err := runWithDeadline(t, m, cfg, ticks)
+				lanes := []BatchLane{{}}
+				wants := [][]truenorth.SpikeEvent{want}
+				if tc.lanes == 2 {
+					lanes = append(lanes, BatchLane{StartFrom: late})
+					wants = append(wants, wantLate)
+				}
+				first := ticks
+				if tc.split > 0 {
+					first = tc.split
+				}
+				stats, err := runLanesWithDeadline(t, img, cfg, first, lanes)
+				if err == nil && tc.split > 0 {
+					var rest []*RunStats
+					rest, err = runLanesWithDeadline(t, img, cfg, ticks-first, []BatchLane{{StartFrom: stats[0].Final}})
+					if err == nil {
+						stats[0].Trace = append(stats[0].Trace, rest[0].Trace...)
+					}
+				}
 				if tc.fatal {
 					if err == nil {
 						t.Fatalf("fatal fault %q completed without error", tc.spec)
@@ -100,12 +151,11 @@ func TestChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("survivable fault %q failed the run: %v", tc.spec, err)
 				}
-				if stats.TotalSpikes != wantTotal {
-					t.Fatalf("total spikes %d, want %d", stats.TotalSpikes, wantTotal)
-				}
-				if !reflect.DeepEqual(stats.Trace, want) {
-					t.Fatalf("trace under %q differs from serial reference (%d vs %d events)",
-						tc.spec, len(stats.Trace), len(want))
+				for s, st := range stats {
+					if !reflect.DeepEqual(st.Trace, wants[s]) {
+						t.Fatalf("lane %d trace under %q differs from serial reference (%d vs %d events)",
+							s, tc.spec, len(st.Trace), len(wants[s]))
+					}
 				}
 				sum := inj.Summary()
 				var fired uint64
@@ -114,6 +164,16 @@ func TestChaosMatrix(t *testing.T) {
 				}
 				if fired == 0 {
 					t.Fatalf("spec %q injected nothing — the case tested the fault-free path", tc.spec)
+				}
+				if tc.split > 0 {
+					whole := cfg
+					whole.Faults = chaosInjector(t, tc.spec)
+					if _, err := runLanesWithDeadline(t, img, whole, ticks, []BatchLane{{}}); err != nil {
+						t.Fatal(err)
+					}
+					if got := whole.Faults.Summary(); got != sum {
+						t.Fatalf("split run injected %+v, unsplit run %+v", sum, got)
+					}
 				}
 			})
 		}

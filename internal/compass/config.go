@@ -124,7 +124,10 @@ type Config struct {
 	// sharded metrics registry, per-phase span timers, and the Perfetto
 	// trace recorder (see telemetry.go). A non-nil Telemetry implies
 	// phase measurement; RunStats.PhaseSeconds is populated either way.
-	// The bundle must have been built for at least Ranks shards.
+	// The bundle must have been built for at least Ranks shards. In a
+	// batched run this is the group's bundle (phase spans, transport
+	// probes, fault counters); per-lane counters go to
+	// BatchLane.Telemetry.
 	Telemetry *Telemetry
 	// Faults optionally attaches a deterministic fault injector that the
 	// transport backends consult at their send and drain points and at

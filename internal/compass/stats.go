@@ -115,13 +115,6 @@ type PhaseSeconds struct {
 	Network float64
 }
 
-// SynapseNeuron returns the summed compute-phase (Synapse + Neuron)
-// wall-clock, the quantity this struct reported before the phases were
-// measured separately.
-//
-// Deprecated: read Synapse and Neuron individually.
-func (p PhaseSeconds) SynapseNeuron() float64 { return p.Synapse + p.Neuron }
-
 // AvgFiringRateHz returns the mean neuron firing rate in hertz, assuming
 // the architecture's 1 ms tick: spikes / (neurons × ticks) × 1000.
 func (s *RunStats) AvgFiringRateHz() float64 {

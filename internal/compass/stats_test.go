@@ -122,15 +122,3 @@ func TestLoadImbalanceEdgeCases(t *testing.T) {
 		})
 	}
 }
-
-// TestPhaseSecondsDeprecatedSum checks the fused compute accessor kept
-// for pre-split callers.
-func TestPhaseSecondsDeprecatedSum(t *testing.T) {
-	p := PhaseSeconds{Synapse: 0.25, Neuron: 0.5, Network: 2}
-	if got := p.SynapseNeuron(); got != 0.75 {
-		t.Errorf("SynapseNeuron() = %v, want 0.75", got)
-	}
-	if got := (PhaseSeconds{}).SynapseNeuron(); got != 0 {
-		t.Errorf("zero SynapseNeuron() = %v, want 0", got)
-	}
-}

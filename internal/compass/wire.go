@@ -12,10 +12,10 @@ import (
 // bandwidth accounting uses truenorth.SpikeWireBytes (20 B) per spike,
 // which includes the headers of the real Blue Gene messaging stack; the
 // compact record here is only the in-memory representation. The lane
-// byte (formerly reserved, always 0 outside batched execution) routes a
-// spike to its session lane when several sessions of one model advance
-// under a shared tick loop — batched runs reuse every transport
-// unchanged because the lane rides inside the record.
+// byte (formerly reserved, always 0 in a one-lane run) routes a spike
+// to its session lane when several sessions of one model advance under
+// a shared tick loop — every transport carries any lane count unchanged
+// because the lane rides inside the record.
 const spikeRecordBytes = 8
 
 // appendSpike encodes one spike onto buf.

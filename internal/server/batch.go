@@ -9,17 +9,19 @@ import (
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
-// This file is the serving-side scheduler for batched execution: every
-// running session whose (model hash, ranks, threads, transport,
-// placement) matches an existing group joins that group, and the
-// group's window loop advances all of its members' chunks with ONE
-// sim.RunBatch call — one kernel sweep and one Network phase per tick
-// for the whole membership — instead of one independent tick loop per
-// session. Sessions join and leave at chunk boundaries only, and each
-// session's trace, checkpoints, and telemetry stay byte-identical to
-// solo execution (the compass-level contract tested in
-// internal/compass/batch_test.go), so pause, checkpoint, stream
-// injection, and egress keep their exact solo semantics while batched.
+// This file is the serving-side scheduler of the tick engine: every
+// running session executes its chunks through a batchGroup. A session
+// whose (model hash, ranks, threads, transport, placement) matches an
+// existing group joins that group, and the group's window loop advances
+// all of its members' chunks with ONE sim.RunBatch call — one kernel
+// sweep and one Network phase per tick for the whole membership. A
+// session that may not share a loop (batching disabled, or fault
+// injection armed) runs the same code in a private group of one. Sessions
+// join and leave at chunk boundaries only, and each session's trace,
+// checkpoints, and telemetry are independent of the membership (the
+// compass-level contract tested in internal/compass/batch_test.go), so
+// pause, checkpoint, stream injection, and egress mean the same thing
+// alone or batched.
 
 // batchKey fingerprints everything that must match for two sessions to
 // share a tick loop: the image content hash plus the full decomposition.
@@ -40,6 +42,7 @@ func batchKey(img *truenorth.Image, cfg sim.Config) string {
 // batchReq is one session's pending chunk: the lane description, the
 // requested tick count, and the channel its window result lands on.
 type batchReq struct {
+	ctx   context.Context
 	lane  sim.BatchLane
 	ticks int
 	resC  chan batchRes // buffered; the window loop never blocks on it
@@ -63,6 +66,13 @@ type batchGroup struct {
 	key string
 	img *truenorth.Image
 	cfg sim.Config // shared decomposition; ReturnState set, per-session fields empty
+
+	// private marks the group of one session that shares its loop with
+	// nobody: its key carries the session ID, its windows run under the
+	// session's context and telemetry bundle (phase spans, transport
+	// probes and fault counters stay on the session's /metrics), and it
+	// is invisible in Info.BatchGroup and the batch instruments.
+	private bool
 
 	// onWindow/onWindowDone feed the manager's occupancy gauge and
 	// per-sweep histogram; either may be nil.
@@ -89,12 +99,12 @@ func newBatchGroup(key string, img *truenorth.Image, cfg sim.Config) *batchGroup
 
 // exec runs one chunk of a member session through the group: it
 // enqueues the lane, wakes the window loop, and blocks until the window
-// carrying the lane completes. Cancellation is chunk-bounded, exactly
-// like the solo runner: a request still waiting is withdrawn
-// immediately, but once its window is in flight exec waits the window
-// out (a window is at most one chunk long).
+// carrying the lane completes. Cancellation is chunk-bounded: a request
+// still waiting is withdrawn immediately, but once its window is in
+// flight exec waits the window out (a shared window is at most one
+// chunk long; a private one unwinds at its next tick boundary).
 func (g *batchGroup) exec(ctx context.Context, lane sim.BatchLane, ticks int) (*sim.RunStats, int, float64, error) {
-	req := &batchReq{lane: lane, ticks: ticks, resC: make(chan batchRes, 1)}
+	req := &batchReq{ctx: ctx, lane: lane, ticks: ticks, resC: make(chan batchRes, 1)}
 	g.mu.Lock()
 	g.waiting = append(g.waiting, req)
 	if !g.running {
@@ -157,7 +167,13 @@ func (g *batchGroup) windowLoop() {
 		if g.onWindow != nil {
 			g.onWindow(len(reqs))
 		}
-		res, err := sim.RunBatch(g.img, g.cfg, ticks, lanes)
+		// A shared window outlives any one member's cancellation; a
+		// private one has a single member and stops with it.
+		ctx := context.Background()
+		if g.private {
+			ctx = reqs[0].ctx
+		}
+		res, err := sim.RunBatchContext(ctx, g.img, g.cfg, ticks, lanes)
 		if g.onWindowDone != nil {
 			sweep := 0.0
 			if err == nil {

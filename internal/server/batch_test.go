@@ -28,7 +28,7 @@ func waitTicks(t *testing.T, s *Session, n uint64) {
 // table: same-model sessions share one batched tick loop (same batch
 // group in Info), join mid-run at chunk boundaries, pause and resume
 // individually — and every one of them drains to a final checkpoint
-// bit-identical to an uninterrupted solo run, on every transport.
+// bit-identical to the uninterrupted serial reference, on every transport.
 func TestBatchedSessionsBitIdentical(t *testing.T) {
 	model := testModel(6, 77)
 	img, err := truenorth.NewImage(model)
@@ -48,24 +48,30 @@ func TestBatchedSessionsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := mgr.Create(CreateParams{Name: "c", Image: img, Cfg: cfg, Ticks: 60})
+			// c runs two chunks and parks at that boundary mid-run: the
+			// step budget orders the park before completion, where a bare
+			// Pause would race a 60-tick session finishing on a loaded host.
+			c, err := mgr.Create(CreateParams{Name: "c", Image: img, Cfg: cfg, Ticks: 60, StartPaused: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// b joins mid-run: a and c are already several chunks in when
-			// its first window runs.
+			if err := c.StepTicks(20); err != nil {
+				t.Fatal(err)
+			}
+			if !c.WaitState(30*time.Second, func(st State) bool { return st == StatePaused && c.ticksDone == 20 }) {
+				t.Fatalf("session c state %s at tick %d, want paused at 20", c.State(), c.TicksDone())
+			}
+			// b joins mid-run, and the group keeps advancing a and b while
+			// c is parked.
 			waitTicks(t, a, 10)
 			b, err := mgr.Create(CreateParams{Name: "b", Image: img, Cfg: cfg, Ticks: 45})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// c pauses at a chunk boundary mid-run, then resumes: the
-			// group keeps advancing a and b while c is parked.
-			if err := c.Pause(); err != nil {
-				t.Fatal(err)
-			}
-			c.WaitState(30*time.Second, func(st State) bool { return st == StatePaused || st.Terminal() })
 			waitTicks(t, b, 10)
+			if st, done := c.State(), c.TicksDone(); st != StatePaused || done != 20 {
+				t.Fatalf("session c state %s at tick %d while siblings ran, want paused at 20", st, done)
+			}
 			if err := c.Resume(); err != nil {
 				t.Fatal(err)
 			}
@@ -80,16 +86,16 @@ func TestBatchedSessionsBitIdentical(t *testing.T) {
 				t.Fatalf("sessions not grouped: a=%q b=%q c=%q", ga, gb, gc)
 			}
 
-			want60 := ckptBytes(t, refFinal(t, model, cfg, 60))
-			want45 := ckptBytes(t, refFinal(t, model, cfg, 45))
+			want60 := ckptBytes(t, refFinal(t, model, 60))
+			want45 := ckptBytes(t, refFinal(t, model, 45))
 			if !bytes.Equal(ckptBytes(t, a.Checkpoint()), want60) {
-				t.Error("session a: batched checkpoint differs from solo run")
+				t.Error("session a: batched checkpoint differs from the serial reference")
 			}
 			if !bytes.Equal(ckptBytes(t, b.Checkpoint()), want45) {
-				t.Error("session b (mid-run join): batched checkpoint differs from solo run")
+				t.Error("session b (mid-run join): batched checkpoint differs from the serial reference")
 			}
 			if !bytes.Equal(ckptBytes(t, c.Checkpoint()), want60) {
-				t.Error("session c (pause/resume): batched checkpoint differs from solo run")
+				t.Error("session c (pause/resume): batched checkpoint differs from the serial reference")
 			}
 
 			// The batch instruments saw the windows: occupancy is back to
@@ -113,7 +119,7 @@ func TestBatchedSessionsBitIdentical(t *testing.T) {
 
 // TestBatchedStreamInjection: two sessions of one image share a batched
 // loop while one of them receives its entire input live over the CSTR
-// stream plane and both broadcast egress — and both match their solo
+// stream plane and both broadcast egress — and both match their serial
 // references exactly. This is TestStreamInjectionEquivalence with the
 // lane actually batched alongside a sibling session.
 func TestBatchedStreamInjection(t *testing.T) {
@@ -191,29 +197,23 @@ func TestBatchedStreamInjection(t *testing.T) {
 		t.Fatalf("stream dropped %d records; equivalence check needs a lossless run", drops)
 	}
 
-	refCfg := cfg
-	refCfg.RecordTrace = true
-	refCfg.ReturnState = true
-	stats, err := sim.Run(ref, refCfg, ticks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := traceToWire(stats.Trace)
+	refTrace, refCp := refRun(t, ref, ticks)
+	want := traceToWire(refTrace)
 	sortWire(want)
 	sortWire(received)
 	if len(received) != len(want) {
-		t.Fatalf("streamed lane fired %d spikes, solo reference fired %d", len(received), len(want))
+		t.Fatalf("streamed lane fired %d spikes, serial reference fired %d", len(received), len(want))
 	}
 	for i := range want {
 		if received[i] != want[i] {
-			t.Fatalf("event %d: streamed %+v, solo %+v", i, received[i], want[i])
+			t.Fatalf("event %d: streamed %+v, serial %+v", i, received[i], want[i])
 		}
 	}
-	if !bytes.Equal(ckptBytes(t, target.Checkpoint()), ckptBytes(t, stats.Final)) {
-		t.Fatal("streamed lane's final checkpoint differs from its solo reference")
+	if !bytes.Equal(ckptBytes(t, target.Checkpoint()), ckptBytes(t, refCp)) {
+		t.Fatal("streamed lane's final checkpoint differs from its serial reference")
 	}
-	if !bytes.Equal(ckptBytes(t, sibling.Checkpoint()), ckptBytes(t, refFinal(t, streamed, cfg, ticks))) {
-		t.Fatal("sibling lane's final checkpoint differs from its solo reference")
+	if !bytes.Equal(ckptBytes(t, sibling.Checkpoint()), ckptBytes(t, refFinal(t, streamed, ticks))) {
+		t.Fatal("sibling lane's final checkpoint differs from its serial reference")
 	}
 }
 
@@ -248,7 +248,7 @@ func TestDisableBatch(t *testing.T) {
 			t.Fatalf("batch group %q with batching disabled", g)
 		}
 	}
-	if !bytes.Equal(ckptBytes(t, a.Checkpoint()), ckptBytes(t, refFinal(t, model, cfg, 30))) {
+	if !bytes.Equal(ckptBytes(t, a.Checkpoint()), ckptBytes(t, refFinal(t, model, 30))) {
 		t.Fatal("unbatched checkpoint differs from reference")
 	}
 }

@@ -77,9 +77,9 @@ type ManagerOptions struct {
 	// per session. Sessions that could never fit are rejected; sessions
 	// that merely don't fit right now queue FIFO. Zero means unlimited.
 	MemoryBudgetBytes int64
-	// DisableBatch turns off batched execution: every session runs its
-	// own independent tick loop even when other resident sessions share
-	// its model and decomposition.
+	// DisableBatch gives every session a private batch group: its own
+	// independent tick loop even when other resident sessions share its
+	// model and decomposition.
 	DisableBatch bool
 	// MaxExtraWorkers bounds the daemon-wide pool of extra worker
 	// goroutines shared by every image build, PCC compile, and session
@@ -507,9 +507,9 @@ func (m *Manager) canStartLocked(s *Session) bool {
 // Image bytes are charged once per resident image — the second session
 // sharing an image only pays for its private runtime state. The first
 // session holding a cache-built image also pins its cache entry, and
-// unless batching is disabled the session joins (or founds) the batch
-// group for its (model hash, decomposition) so same-model sessions
-// advance under one shared tick loop. Callers hold mu.
+// the session joins (or founds) the batch group for its (model hash,
+// decomposition) so same-model sessions advance under one shared tick
+// loop. Callers hold mu.
 //
 // The session's start claim is taken first: a queued session cancelled
 // concurrently (abortQueued holds only the session lock) can reach a
@@ -534,25 +534,53 @@ func (m *Manager) startLocked(s *Session) bool {
 	}
 	ref.refs++
 	m.memUsed += s.img.StateBytes()
-	// Fault injection is a solo-run instrument: RunBatch rejects
-	// cfg.Faults because per-rank fault decisions don't compose with a
-	// shared kernel sweep, so faulted sessions keep their own tick loop.
-	if !m.opts.DisableBatch && s.cfg.Faults == nil {
-		key := batchKey(s.img, s.cfg)
-		g := m.groups[key]
-		if g == nil {
-			g = newBatchGroup(key, s.img, s.cfg)
-			g.onWindow = func(lanes int) { m.batchWindow(lanes) }
-			g.onWindowDone = func(lanes int, sweep float64) { m.batchWindowDone(lanes, sweep) }
-			m.groups[key] = g
-		}
-		g.refs++
-		// Under the session lock: a queued session promoted here can have
-		// its Info read concurrently.
-		s.setGroup(g)
-	}
+	m.joinGroupLocked(s, s.cfg)
 	go s.run()
 	return true
+}
+
+// joinGroupLocked routes s to the batch group for decomposition cfg,
+// founding it when s is the first member and leaving any group s was in
+// before. With batching disabled, or with fault injection armed (a fault
+// plan belongs to one session), the group is private: keyed by the
+// session's own ID so nobody else ever joins it. Callers hold mu.
+func (m *Manager) joinGroupLocked(s *Session, cfg sim.Config) {
+	key := batchKey(s.img, cfg)
+	private := m.opts.DisableBatch || cfg.Faults != nil
+	if private {
+		key += "|" + s.ID
+	}
+	if old := s.group; old != nil {
+		if old.key == key {
+			return
+		}
+		m.leaveGroupLocked(old)
+	}
+	g := m.groups[key]
+	if g == nil {
+		g = newBatchGroup(key, s.img, cfg)
+		if private {
+			g.private = true
+			g.cfg.Telemetry = s.tel
+		} else {
+			g.onWindow = m.batchWindow
+			g.onWindowDone = m.batchWindowDone
+		}
+		m.groups[key] = g
+	}
+	g.refs++
+	// Under the session lock: a queued session promoted here can have
+	// its Info read concurrently.
+	s.setGroup(g)
+}
+
+// leaveGroupLocked drops one member of g, retiring the group with its
+// last one. Callers hold mu.
+func (m *Manager) leaveGroupLocked(g *batchGroup) {
+	g.refs--
+	if g.refs <= 0 {
+		delete(m.groups, g.key)
+	}
 }
 
 // batchWindow and batchWindowDone maintain the batch occupancy gauge
@@ -599,12 +627,7 @@ func (m *Manager) release(s *Session) {
 			}
 		}
 	}
-	if g := s.group; g != nil {
-		g.refs--
-		if g.refs <= 0 {
-			delete(m.groups, g.key)
-		}
-	}
+	m.leaveGroupLocked(s.group)
 	if m.memUsed < 0 {
 		m.memUsed = 0
 	}

@@ -144,25 +144,8 @@ func (m *Manager) noteReshape(s *Session, cfg sim.Config) {
 	m.mReshapes.Inc(0)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := s.group
-	if old == nil {
-		return // solo session (batching disabled or faulted)
+	if s.group == nil {
+		return // still queued: startLocked groups it by its new layout
 	}
-	key := batchKey(s.img, cfg)
-	if key == old.key {
-		return
-	}
-	old.refs--
-	if old.refs <= 0 {
-		delete(m.groups, old.key)
-	}
-	g := m.groups[key]
-	if g == nil {
-		g = newBatchGroup(key, s.img, cfg)
-		g.onWindow = func(lanes int) { m.batchWindow(lanes) }
-		g.onWindowDone = func(lanes int, sweep float64) { m.batchWindowDone(lanes, sweep) }
-		m.groups[key] = g
-	}
-	g.refs++
-	s.setGroup(g)
+	m.joinGroupLocked(s, cfg)
 }

@@ -76,7 +76,7 @@ func TestAutoReshapeAtChunkBoundary(t *testing.T) {
 
 	// Determinism: identical final checkpoint to a never-reshaped run of
 	// the same skewed session.
-	want := ckptBytes(t, refFinal(t, model, cfg, ticks))
+	want := ckptBytes(t, refFinal(t, model, ticks))
 	if got := ckptBytes(t, s.Checkpoint()); !bytes.Equal(got, want) {
 		t.Fatal("reshaped session checkpoint differs from straight skewed run")
 	}
@@ -152,7 +152,7 @@ func TestReshapeRegroupsBatchedSession(t *testing.T) {
 	if got := sib.Info().BatchGroup; got != oldGroup {
 		t.Fatalf("sibling batch group changed: %q -> %q", got, oldGroup)
 	}
-	want := ckptBytes(t, refFinal(t, model, skew, ticks))
+	want := ckptBytes(t, refFinal(t, model, ticks))
 	for _, s := range []*Session{sib, mov} {
 		if got := ckptBytes(t, s.Checkpoint()); !bytes.Equal(got, want) {
 			t.Fatalf("session %s checkpoint differs from straight run", s.Name)

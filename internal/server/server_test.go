@@ -80,16 +80,32 @@ func ckptBytes(t *testing.T, cp *truenorth.Checkpoint) []byte {
 	return buf.Bytes()
 }
 
-// refFinal runs the simulation in one uninterrupted shot and returns
-// the final checkpoint — the reference for resume-equivalence tests.
-func refFinal(t *testing.T, m *truenorth.Model, cfg sim.Config, ticks int) *truenorth.Checkpoint {
+// refRun replays m on the serial reference simulator — the oracle that
+// shares no code with the tick engine the sessions run on — and returns
+// the canonical trace and the final checkpoint.
+func refRun(t *testing.T, m *truenorth.Model, ticks int) ([]truenorth.SpikeEvent, *truenorth.Checkpoint) {
 	t.Helper()
-	cfg.ReturnState = true
-	stats, err := sim.Run(m, cfg, ticks)
+	ref, err := truenorth.NewSerialSim(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats.Final
+	var trace []truenorth.SpikeEvent
+	ref.OnSpike = func(tick uint64, s truenorth.Spike) {
+		trace = append(trace, truenorth.SpikeEvent{FireTick: tick, Target: s.Target})
+	}
+	if err := ref.Run(ticks); err != nil {
+		t.Fatal(err)
+	}
+	truenorth.SortSpikeEvents(trace)
+	return trace, ref.Snapshot()
+}
+
+// refFinal is the serial reference's checkpoint after ticks
+// uninterrupted ticks.
+func refFinal(t *testing.T, m *truenorth.Model, ticks int) *truenorth.Checkpoint {
+	t.Helper()
+	_, final := refRun(t, m, ticks)
+	return final
 }
 
 func sortWire(events []spikeio.Event) {
@@ -303,14 +319,8 @@ func TestStreamInjectionEquivalence(t *testing.T) {
 		t.Fatalf("stream dropped %d records; equivalence check needs a lossless run", drops)
 	}
 
-	refCfg := cfg
-	refCfg.RecordTrace = true
-	refCfg.ReturnState = true
-	stats, err := sim.Run(ref, refCfg, ticks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := traceToWire(stats.Trace)
+	refTrace, refCp := refRun(t, ref, ticks)
+	want := traceToWire(refTrace)
 	sortWire(want)
 	sortWire(received)
 	if len(received) != len(want) {
@@ -321,7 +331,7 @@ func TestStreamInjectionEquivalence(t *testing.T) {
 			t.Fatalf("event %d: streamed %+v, scheduled %+v", i, received[i], want[i])
 		}
 	}
-	if !bytes.Equal(ckptBytes(t, target.Checkpoint()), ckptBytes(t, stats.Final)) {
+	if !bytes.Equal(ckptBytes(t, target.Checkpoint()), ckptBytes(t, refCp)) {
 		t.Fatal("final checkpoint differs between streamed and scheduled runs")
 	}
 }
@@ -357,7 +367,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	if final.Tick != 60 {
 		t.Fatalf("final tick %d, want 60", final.Tick)
 	}
-	want := refFinal(t, m, cfg, 60)
+	want := refFinal(t, m, 60)
 	if !bytes.Equal(ckptBytes(t, final), ckptBytes(t, want)) {
 		t.Fatal("resumed session's final state differs from uninterrupted run")
 	}
@@ -570,7 +580,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if !resumed.WaitState(60*time.Second, func(st State) bool { return st == StateDone }) {
 		t.Fatalf("resumed state %s, want done (err %v)", resumed.State(), resumed.Err())
 	}
-	want := refFinal(t, m, cfg, int(cp.Tick)+30)
+	want := refFinal(t, m, int(cp.Tick)+30)
 	if !bytes.Equal(ckptBytes(t, resumed.Checkpoint()), ckptBytes(t, want)) {
 		t.Fatal("resumed-from-file final state differs from uninterrupted run")
 	}

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
+.PHONY: build test race vet check bench-smoke fuzz-smoke bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,17 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
-check: build vet test race bench-smoke
+# Five seconds of native fuzzing per target over the bytes the stream
+# plane reads from untrusted clients — the handshake and the inject
+# frames, which compassd and the coordinator's stream proxy parse with
+# the same two functions. `go test -fuzz` takes one target per run; a
+# failing input is written to testdata/fuzz/ and fails `go test` from
+# then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadStreamHandshake$$' -fuzztime 5s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadInjectFrames$$' -fuzztime 5s ./internal/server/
+
+check: build vet test race bench-smoke fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

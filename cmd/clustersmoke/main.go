@@ -1,7 +1,8 @@
 // Command clustersmoke is the end-to-end smoke test for cluster-mode
 // compassd: it spawns a coordinator and three daemon processes, creates
-// sessions through the cluster control plane with a stream-proxy client
-// attached, live-migrates one session between daemons, SIGKILLs the
+// sessions through the coordinator — the same session routes and the
+// same client as on a daemon — with a stream-proxy client attached,
+// live-migrates one session between daemons, SIGKILLs the
 // node owning another to force heartbeat-lapse failover, and verifies
 // both sessions' spike traces and final checkpoints are byte-identical
 // to solo reference runs on a standalone daemon.
@@ -12,7 +13,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"io"
 	"log"
@@ -41,23 +41,37 @@ type proc struct {
 	cmd        *exec.Cmd
 	httpAddr   string
 	streamAddr string
+	ctl        *server.Client // the process's control plane
+}
+
+// check ends the smoke test at the first control-plane call that
+// fails; must unwraps one that returns a value.
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+func must[T any](v T, err error) T {
+	check(err)
+	return v
 }
 
 // model is the shared session shape: a seeded CoCoMac network, paced by
 // a wall-clock stall fault so cluster events can fire mid-run. Stalls
 // never change spike output, and migration/failover imports strip fault
 // rules anyway, so the unfaulted solo reference must match bit-for-bit.
-func model(name, faults string) map[string]any {
-	return map[string]any{
-		"name":         name,
-		"source":       map[string]any{"kind": "cocomac", "cores": 96, "seed": 11},
-		"ranks":        2,
-		"threads":      2,
-		"transport":    "shmem",
-		"ticks":        300,
-		"chunk_ticks":  25,
-		"start_paused": true,
-		"faults":       faults,
+func model(name, faults string) *server.CreateRequest {
+	return &server.CreateRequest{
+		Name:        name,
+		Source:      server.SourceSpec{Kind: "cocomac", Cores: 96, Seed: 11},
+		Ranks:       2,
+		Threads:     2,
+		Transport:   "shmem",
+		Ticks:       300,
+		ChunkTicks:  25,
+		StartPaused: true,
+		Faults:      faults,
 	}
 }
 
@@ -110,25 +124,29 @@ func main() {
 			"-join", coord.httpAddr, "-node-id", name)
 		nodes[name] = p
 	}
-	waitNodes(coord.httpAddr, 3)
+	waitNodes(coord, 3)
 	log.Printf("cluster up: coordinator %s + 3 nodes", coord.httpAddr)
 
 	// Drill 1: live migration. Pause mid-run, move to an explicit
 	// target, resume; the trace and final checkpoint must match the
-	// unmigrated reference.
-	mig := createCluster(coord.httpAddr, model("smoke-migrate", "stall:rank=0,k=6"))
-	log.Printf("session %s placed on %s", mig.ClusterID, mig.Node)
-	migEvents, migCkpt, migFinal := driveCluster(coord, mig.ClusterID, 400*time.Millisecond, func() {
-		postOK(coord.httpAddr, "/v1/cluster/sessions/"+mig.ClusterID+"/pause")
-		target := otherNode(coord.httpAddr, mig.Node)
-		st := migrate(coord.httpAddr, mig.ClusterID, target)
+	// unmigrated reference. The coordinator serves the daemon's own
+	// session routes, so the drills drive it with the client the
+	// references drove the solo daemon with.
+	mig := must(coord.ctl.Create(model("smoke-migrate", "stall:rank=0,k=6")))
+	log.Printf("session %s placed on %s", mig.ID, mig.Node)
+	migEvents, migCkpt := driveSession(coord, mig.ID, 400*time.Millisecond, func() {
+		must(coord.ctl.Lifecycle(mig.ID, "pause"))
+		var st cluster.SessionStatus
+		check(coord.ctl.Do(http.MethodPost, "/v1/cluster/sessions/"+mig.ID+"/migrate",
+			&cluster.MigrateRequest{Target: otherNode(coord, mig.Node)}, &st))
 		if st.Node == mig.Node {
 			log.Fatalf("migration stayed on %s", mig.Node)
 		}
 		log.Printf("session %s migrated %s -> %s at committed tick %d",
-			mig.ClusterID, mig.Node, st.Node, st.CommittedTick)
-		postOK(coord.httpAddr, "/v1/cluster/sessions/"+mig.ClusterID+"/resume")
+			mig.ID, mig.Node, st.Node, st.CommittedTick)
+		must(coord.ctl.Lifecycle(mig.ID, "resume"))
 	})
+	migFinal := waitEnded(coord, mig.ID, 60*time.Second)
 	if migFinal.Migrations != 1 || migFinal.EndState != "done" {
 		log.Fatalf("migrated session final status: %+v", migFinal)
 	}
@@ -139,13 +157,13 @@ func main() {
 	// its last pushed boundary on a surviving node — still
 	// byte-identical, because uncommitted egress was held back by the
 	// proxy and replayed ticks reproduce it exactly.
-	kill := createCluster(coord.httpAddr, model("smoke-kill", "stall:rank=0,k=6"))
-	log.Printf("session %s placed on %s", kill.ClusterID, kill.Node)
+	kill := must(coord.ctl.Create(model("smoke-kill", "stall:rank=0,k=6")))
+	log.Printf("session %s placed on %s", kill.ID, kill.Node)
 	// The settle spans several chunk boundaries (a 25-tick chunk of this
 	// model takes ~1.5s) so the agent has pushed checkpoints and the
 	// failover restores from a boundary rather than recreating from
 	// tick 0.
-	killEvents, killCkpt, killFinal := driveCluster(coord, kill.ClusterID, 4*time.Second, func() {
+	killEvents, killCkpt := driveSession(coord, kill.ID, 4*time.Second, func() {
 		owner := nodes[kill.Node]
 		if owner == nil {
 			log.Fatalf("session owner %q is not a spawned node", kill.Node)
@@ -153,6 +171,7 @@ func main() {
 		log.Printf("SIGKILL node %s (pid %d)", kill.Node, owner.cmd.Process.Pid)
 		stopProc(owner, syscall.SIGKILL)
 	})
+	killFinal := waitEnded(coord, kill.ID, 60*time.Second)
 	if killFinal.Restores < 1 || killFinal.EndState != "done" {
 		log.Fatalf("killed session final status: %+v", killFinal)
 	}
@@ -160,7 +179,7 @@ func main() {
 		log.Fatalf("session was not restored off its killed home %s", kill.Node)
 	}
 	log.Printf("session %s restored on %s after %d restore(s)",
-		kill.ClusterID, killFinal.Node, killFinal.Restores)
+		kill.ID, killFinal.Node, killFinal.Restores)
 	compareRun("kill-failover", killEvents, refKillEvents, killCkpt, refKillCkpt)
 
 	for name, p := range nodes {
@@ -172,50 +191,33 @@ func main() {
 	log.Printf("cluster-smoke PASS")
 }
 
-// runReference drives one session on the standalone daemon: inject
-// while parked, resume, collect the full egress trace, download the
-// final checkpoint.
-func runReference(d *proc, req map[string]any) ([]spikeio.Event, []byte) {
-	info := createSession(d.httpAddr, req)
-	sc, err := server.DialStream(d.streamAddr, info.ID, server.StreamFlagInject|server.StreamFlagSubscribe)
-	if err != nil {
-		log.Fatalf("dial solo stream: %v", err)
-	}
-	defer sc.Close()
-	if err := sc.Send(injected); err != nil {
-		log.Fatalf("solo inject: %v", err)
-	}
-	results := make(chan streamResult, 1)
-	go collect(sc, results)
-	postOK(d.httpAddr, "/v1/sessions/"+info.ID+"/resume")
-	res := waitStream(results)
-	return res.events, getBytes(d.httpAddr, "/v1/sessions/"+info.ID+"/checkpoint")
+// runReference drives one session on the standalone daemon.
+func runReference(d *proc, req *server.CreateRequest) ([]spikeio.Event, []byte) {
+	return driveSession(d, must(d.ctl.Create(req)).ID, 0, func() {})
 }
 
-// driveCluster drives one cluster session through the coordinator: a
-// stream-proxy client attaches first, spikes are injected while the
-// session is parked, mid runs once the session is underway, and the
-// trace, final checkpoint, and final status are returned after EOF.
-func driveCluster(coord *proc, id string, settle time.Duration, mid func()) ([]spikeio.Event, []byte, *cluster.SessionStatus) {
-	sc, err := server.DialStream(coord.streamAddr, id, server.StreamFlagInject|server.StreamFlagSubscribe)
+// driveSession drives one session through a daemon or the coordinator:
+// a stream client attaches first, spikes are injected while the session
+// is parked, mid runs once the session is underway, and the trace and
+// final checkpoint are returned after EOF.
+func driveSession(p *proc, id string, settle time.Duration, mid func()) ([]spikeio.Event, []byte) {
+	sc, err := server.DialStream(p.streamAddr, id, server.StreamFlagInject|server.StreamFlagSubscribe)
 	if err != nil {
-		log.Fatalf("dial proxy stream: %v", err)
+		log.Fatalf("dial %s stream: %v", p.name, err)
 	}
 	defer sc.Close()
 	if err := sc.Send(injected); err != nil {
-		log.Fatalf("proxy inject: %v", err)
+		log.Fatalf("%s inject: %v", p.name, err)
 	}
 	results := make(chan streamResult, 1)
 	go collect(sc, results)
-	postOK(coord.httpAddr, "/v1/cluster/sessions/"+id+"/resume")
+	must(p.ctl.Lifecycle(id, "resume"))
 
 	time.Sleep(settle)
 	mid()
 
 	res := waitStream(results)
-	final := waitEnded(coord.httpAddr, id, 60*time.Second)
-	ckpt := getBytes(coord.httpAddr, "/v1/cluster/sessions/"+id+"/checkpoint")
-	return res.events, ckpt, final
+	return res.events, must(p.ctl.Checkpoint(id))
 }
 
 func compareRun(label string, got, want []spikeio.Event, gotCkpt, wantCkpt []byte) {
@@ -312,6 +314,7 @@ func startProc(out io.Writer, name string, args ...string) *proc {
 				}
 			}
 			if p.httpAddr != "" && p.streamAddr != "" {
+				p.ctl = server.NewClient(p.httpAddr, 120*time.Second)
 				return p
 			}
 		}
@@ -339,21 +342,27 @@ func stopProc(p *proc, sig syscall.Signal) {
 	}
 }
 
-// ---- HTTP helpers -----------------------------------------------------
+// ---- cluster-only routes ----------------------------------------------
 
-func waitNodes(addr string, want int) {
+func aliveNodes(coord *proc) []string {
+	var nodes struct {
+		Nodes []cluster.NodeStatus `json:"nodes"`
+	}
+	check(coord.ctl.Do(http.MethodGet, "/v1/cluster/nodes", nil, &nodes))
+	var ids []string
+	for _, n := range nodes.Nodes {
+		if n.Alive {
+			ids = append(ids, n.ID)
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+func waitNodes(coord *proc, want int) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		var nodes struct {
-			Nodes []cluster.NodeStatus `json:"nodes"`
-		}
-		getJSON(addr, "/v1/cluster/nodes", &nodes)
-		alive := 0
-		for _, n := range nodes.Nodes {
-			if n.Alive {
-				alive++
-			}
-		}
+		alive := len(aliveNodes(coord))
 		if alive >= want {
 			return
 		}
@@ -364,48 +373,21 @@ func waitNodes(addr string, want int) {
 	}
 }
 
-func otherNode(addr, not string) string {
-	var nodes struct {
-		Nodes []cluster.NodeStatus `json:"nodes"`
-	}
-	getJSON(addr, "/v1/cluster/nodes", &nodes)
-	ids := make([]string, 0, len(nodes.Nodes))
-	for _, n := range nodes.Nodes {
-		if n.Alive && n.ID != not {
-			ids = append(ids, n.ID)
+func otherNode(coord *proc, not string) string {
+	for _, id := range aliveNodes(coord) {
+		if id != not {
+			return id
 		}
 	}
-	sort.Strings(ids)
-	if len(ids) == 0 {
-		log.Fatalf("no alive node other than %s", not)
-	}
-	return ids[0]
+	log.Fatalf("no alive node other than %s", not)
+	return ""
 }
 
-func createCluster(addr string, req map[string]any) *cluster.SessionStatus {
-	var st cluster.SessionStatus
-	postJSON(addr, "/v1/cluster/sessions", req, &st, http.StatusCreated)
-	return &st
-}
-
-func createSession(addr string, req map[string]any) server.Info {
-	var info server.Info
-	postJSON(addr, "/v1/sessions", req, &info, http.StatusCreated)
-	return info
-}
-
-func migrate(addr, id, target string) *cluster.SessionStatus {
-	var st cluster.SessionStatus
-	postJSON(addr, "/v1/cluster/sessions/"+id+"/migrate",
-		map[string]any{"target": target}, &st, http.StatusOK)
-	return &st
-}
-
-func waitEnded(addr, id string, timeout time.Duration) *cluster.SessionStatus {
+func waitEnded(coord *proc, id string, timeout time.Duration) *cluster.SessionStatus {
 	deadline := time.Now().Add(timeout)
 	for {
 		var st cluster.SessionStatus
-		getJSON(addr, "/v1/cluster/sessions/"+id, &st)
+		check(coord.ctl.Do(http.MethodGet, "/v1/cluster/sessions/"+id, nil, &st))
 		if st.Ended {
 			return &st
 		}
@@ -415,50 +397,4 @@ func waitEnded(addr, id string, timeout time.Duration) *cluster.SessionStatus {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-func postJSON(addr, path string, req any, into any, wantStatus int) {
-	body, _ := json.Marshal(req)
-	resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		msg, _ := io.ReadAll(resp.Body)
-		log.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, msg)
-	}
-	if into != nil {
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			log.Fatalf("POST %s: decode: %v", path, err)
-		}
-	}
-}
-
-func postOK(addr, path string) {
-	postJSON(addr, path, nil, nil, http.StatusOK)
-}
-
-func getJSON(addr, path string, into any) {
-	raw := getBytes(addr, path)
-	if err := json.Unmarshal(raw, into); err != nil {
-		log.Fatalf("GET %s: decode: %v", path, err)
-	}
-}
-
-func getBytes(addr, path string) []byte {
-	resp, err := http.Get("http://" + addr + path)
-	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		log.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, msg)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
-	}
-	return raw
 }

@@ -11,6 +11,8 @@
 //	POST   /v1/sessions/{id}/pause     park at the next chunk boundary
 //	POST   /v1/sessions/{id}/resume    release a paused session
 //	POST   /v1/sessions/{id}/stop      cancel (context cancellation at a tick boundary)
+//	POST   /v1/sessions/{id}/step      grant a tick budget, answer once it has simulated
+//	POST   /v1/sessions/{id}/scenario-report  fold closed-loop progress into /metrics
 //	GET    /v1/sessions/{id}/checkpoint  download the latest boundary checkpoint
 //	POST   /v1/sessions/{id}/export    pause at a boundary and export portable state
 //	POST   /v1/sessions/import         recreate a session from exported state
@@ -22,12 +24,27 @@
 // Data plane (length-prefixed binary frames on -stream-listen): see
 // DESIGN.md §5e for the CSTR handshake and frame format.
 //
-// Cluster mode: `compassd -coordinator` serves the cluster control
-// plane (/v1/cluster/...) on -listen and a session-following stream
-// proxy on -stream-listen; `compassd -join <coordinator>` runs a
-// normal daemon that registers itself, heartbeats load, and pushes
-// per-chunk checkpoints so the coordinator can migrate or restore its
-// sessions. See DESIGN.md §5h.
+// Cluster mode: `compassd -coordinator` serves the same session routes
+// on -listen — create places the session on a node, the per-session
+// routes (status, pause, resume, stop, step, scenario-report,
+// checkpoint, delete) are reverse-proxied to the session's owner under
+// a session ID that stays stable across migrations — plus, under
+// /v1/cluster/, what a daemon has no counterpart for:
+//
+//	POST   /v1/cluster/nodes/register        a joining daemon announces itself
+//	POST   /v1/cluster/nodes/heartbeat       load report + per-session pulses
+//	POST   /v1/cluster/checkpoint            a node's per-chunk restore point
+//	GET    /v1/cluster/nodes                 fleet status
+//	POST   /v1/cluster/nodes/{id}/drain      migrate every session off a node
+//	DELETE /v1/cluster/nodes/{id}            deregister
+//	GET    /v1/cluster/sessions[/{id}]       owner node, generation, committed tick
+//	POST   /v1/cluster/sessions/{id}/migrate move a live session
+//
+// and a session-following stream proxy on -stream-listen. It does not
+// serve the list, export, import, model or metrics routes.
+// `compassd -join <coordinator>` runs a normal daemon that registers
+// itself, heartbeats load, and pushes per-chunk checkpoints so the
+// coordinator can migrate or restore its sessions. See DESIGN.md §5h.
 //
 // SIGINT/SIGTERM shut down gracefully: a joined daemon first asks the
 // coordinator to migrate its sessions away (rolling restart), then

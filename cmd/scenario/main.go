@@ -1,7 +1,7 @@
 // Command scenario drives registered closed-loop task environments
 // (internal/scenario) against a live serving surface — a standalone
-// compassd or a coordinator cluster; the target kind is autodetected
-// from /healthz and cluster sessions are proxied transparently.
+// compassd or a cluster coordinator, which serves the same session
+// routes and a stream proxy, so the two are driven the same way.
 //
 // Subcommands:
 //

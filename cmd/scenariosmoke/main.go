@@ -12,9 +12,7 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -28,6 +26,7 @@ import (
 
 	"github.com/cognitive-sim/compass/internal/compass"
 	"github.com/cognitive-sim/compass/internal/scenario"
+	"github.com/cognitive-sim/compass/internal/server"
 )
 
 var (
@@ -95,14 +94,17 @@ func main() {
 
 	// The daemon's Prometheus surface must carry the scenario counters
 	// and the inject→egress RTT histogram.
-	metrics := getText(solo.httpAddr, "/metrics")
+	var metrics []byte
+	if err := server.NewClient(solo.httpAddr, time.Minute).Do(http.MethodGet, "/metrics", nil, &metrics); err != nil {
+		log.Fatal(err)
+	}
 	for _, want := range []string{
 		`compassd_scenario_episodes_total{scenario="bandit"}`,
 		`compassd_scenario_steps_total{scenario="stroop"}`,
 		`compassd_scenario_reward_total{scenario="charrec"}`,
 		"compassd_stream_rtt_seconds_bucket",
 	} {
-		if !strings.Contains(metrics, want) {
+		if !strings.Contains(string(metrics), want) {
 			log.Fatalf("/metrics is missing %q", want)
 		}
 	}
@@ -213,6 +215,7 @@ func stopAll() {
 }
 
 func waitNodes(coordAddr string, n int) {
+	coord := server.NewClient(coordAddr, time.Minute)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		var health struct {
@@ -220,7 +223,7 @@ func waitNodes(coordAddr string, n int) {
 				Alive int `json:"alive"`
 			} `json:"nodes"`
 		}
-		if err := getJSON(coordAddr, "/healthz", &health); err == nil && health.Nodes.Alive >= n {
+		if err := coord.Do(http.MethodGet, "/healthz", nil, &health); err == nil && health.Nodes.Alive >= n {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -228,33 +231,4 @@ func waitNodes(coordAddr string, n int) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-func getJSON(addr, path string, out any) error {
-	resp, err := http.Get("http://" + addr + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", path, resp.Status)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(raw, out)
-}
-
-func getText(addr, path string) string {
-	resp, err := http.Get("http://" + addr + path)
-	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
-	}
-	return string(raw)
 }

@@ -11,7 +11,6 @@ package main
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"flag"
 	"io"
 	"log"
@@ -36,9 +35,18 @@ var (
 
 type daemon struct {
 	cmd        *exec.Cmd
-	httpAddr   string
+	ctl        *server.Client // its control plane
 	streamAddr string
 	ckptDir    string
+}
+
+// must unwraps a control-plane call; the smoke test ends at the first
+// one that fails.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }
 
 func main() {
@@ -63,23 +71,21 @@ func main() {
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 
 	d1 := startDaemon(out, "d1")
-	log.Printf("daemon up: http=%s stream=%s", d1.httpAddr, d1.streamAddr)
-
 	// Liveness.
-	checkGet(d1.httpAddr, "/healthz", `"status"`)
+	checkGet(d1, "/healthz", `"status"`)
 
 	// Session A: CoCoMac network, created paused so the stream client
 	// observes the run from its first spike.
-	a := createSession(d1.httpAddr, map[string]any{
-		"name":         "smoke-a",
-		"source":       map[string]any{"kind": "cocomac", "cores": 128},
-		"ranks":        3,
-		"threads":      2,
-		"transport":    "shmem",
-		"ticks":        400,
-		"chunk_ticks":  50,
-		"start_paused": true,
-	})
+	a := must(d1.ctl.Create(&server.CreateRequest{
+		Name:        "smoke-a",
+		Source:      server.SourceSpec{Kind: "cocomac", Cores: 128},
+		Ranks:       3,
+		Threads:     2,
+		Transport:   "shmem",
+		Ticks:       400,
+		ChunkTicks:  50,
+		StartPaused: true,
+	}))
 	log.Printf("session A created: %s (%s)", a.ID, a.State)
 
 	// Attach a live stream: inject a few spikes, subscribe to egress.
@@ -107,33 +113,33 @@ func main() {
 		}
 	}()
 
-	postOK(d1.httpAddr, "/v1/sessions/"+a.ID+"/resume")
+	must(d1.ctl.Lifecycle(a.ID, "resume"))
 	log.Printf("session A resumed with live stream attached")
 
 	// Session B runs concurrently.
-	b := createSession(d1.httpAddr, map[string]any{
-		"name":      "smoke-b",
-		"source":    map[string]any{"kind": "cocomac", "cores": 96, "seed": 7},
-		"ranks":     2,
-		"threads":   2,
-		"transport": "mpi",
-		"ticks":     200,
-	})
+	b := must(d1.ctl.Create(&server.CreateRequest{
+		Name:      "smoke-b",
+		Source:    server.SourceSpec{Kind: "cocomac", Cores: 96, Seed: 7},
+		Ranks:     2,
+		Threads:   2,
+		Transport: "mpi",
+		Ticks:     200,
+	}))
 	log.Printf("session B created: %s", b.ID)
 
 	// Pause A mid-run and download its boundary checkpoint.
-	postOK(d1.httpAddr, "/v1/sessions/"+a.ID+"/pause")
-	ckptA := getBytes(d1.httpAddr, "/v1/sessions/"+a.ID+"/checkpoint")
+	must(d1.ctl.Lifecycle(a.ID, "pause"))
+	ckptA := must(d1.ctl.Checkpoint(a.ID))
 	cp, err := coreobject.ReadCheckpoint(bytes.NewReader(ckptA))
 	if err != nil {
 		log.Fatalf("downloaded checkpoint unreadable: %v", err)
 	}
 	log.Printf("session A paused; checkpoint at tick %d (%d bytes)", cp.Tick, len(ckptA))
-	postOK(d1.httpAddr, "/v1/sessions/"+a.ID+"/resume")
+	must(d1.ctl.Lifecycle(a.ID, "resume"))
 
 	// Metrics must include server counters and per-session labels.
-	checkGet(d1.httpAddr, "/metrics", "compassd_sessions_created_total")
-	checkGet(d1.httpAddr, "/metrics", a.ID)
+	checkGet(d1, "/metrics", "compassd_sessions_created_total")
+	checkGet(d1, "/metrics", a.ID)
 
 	// Graceful shutdown: every session drains to a checkpoint file.
 	log.Printf("sending SIGTERM to daemon")
@@ -163,19 +169,18 @@ func main() {
 		log.Fatal(err)
 	}
 	d2 := startDaemon(out, "d2")
-	log.Printf("successor daemon up: http=%s", d2.httpAddr)
-	r := createSession(d2.httpAddr, map[string]any{
-		"name":              "smoke-a-resumed",
-		"source":            map[string]any{"kind": "cocomac", "cores": 128},
-		"ranks":             3,
-		"threads":           2,
-		"transport":         "shmem",
-		"ticks":             100,
-		"checkpoint_base64": base64.StdEncoding.EncodeToString(drained),
-	})
+	r := must(d2.ctl.Create(&server.CreateRequest{
+		Name:             "smoke-a-resumed",
+		Source:           server.SourceSpec{Kind: "cocomac", Cores: 128},
+		Ranks:            3,
+		Threads:          2,
+		Transport:        "shmem",
+		Ticks:            100,
+		CheckpointBase64: base64.StdEncoding.EncodeToString(drained),
+	}))
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		cur := getSession(d2.httpAddr, r.ID)
+		cur := must(d2.ctl.Info(r.ID))
 		if cur.State == "done" {
 			log.Printf("resumed session finished: %d ticks, %d spikes", cur.TicksDone, cur.Totals.Spikes)
 			break
@@ -216,15 +221,18 @@ func startDaemon(out io.Writer, name string) *daemon {
 	for {
 		raw, err := os.ReadFile(addrFile)
 		if err == nil {
+			var httpAddr string
 			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 				if v, ok := strings.CutPrefix(line, "http="); ok {
-					d.httpAddr = v
+					httpAddr = v
 				}
 				if v, ok := strings.CutPrefix(line, "stream="); ok {
 					d.streamAddr = v
 				}
 			}
-			if d.httpAddr != "" && d.streamAddr != "" {
+			if httpAddr != "" && d.streamAddr != "" {
+				log.Printf("daemon %s up: http=%s stream=%s", name, httpAddr, d.streamAddr)
+				d.ctl = server.NewClient(httpAddr, 60*time.Second)
 				return d
 			}
 		}
@@ -252,67 +260,11 @@ func stopDaemon(d *daemon) {
 	}
 }
 
-func createSession(addr string, req map[string]any) server.Info {
-	body, _ := json.Marshal(req)
-	resp, err := http.Post("http://"+addr+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatalf("create session: %v", err)
+func checkGet(d *daemon, path, want string) {
+	var raw []byte
+	if err := d.ctl.Do(http.MethodGet, path, nil, &raw); err != nil {
+		log.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(resp.Body)
-		log.Fatalf("create session: status %d: %s", resp.StatusCode, msg)
-	}
-	var info server.Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		log.Fatalf("create session: decode: %v", err)
-	}
-	return info
-}
-
-func getSession(addr, id string) server.Info {
-	resp, err := http.Get("http://" + addr + "/v1/sessions/" + id)
-	if err != nil {
-		log.Fatalf("get session: %v", err)
-	}
-	defer resp.Body.Close()
-	var info server.Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		log.Fatalf("get session: decode: %v", err)
-	}
-	return info
-}
-
-func postOK(addr, path string) {
-	resp, err := http.Post("http://"+addr+path, "application/json", nil)
-	if err != nil {
-		log.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		log.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, msg)
-	}
-}
-
-func getBytes(addr, path string) []byte {
-	resp, err := http.Get("http://" + addr + path)
-	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s: status %d", path, resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
-	}
-	return raw
-}
-
-func checkGet(addr, path, want string) {
-	raw := getBytes(addr, path)
 	if !strings.Contains(string(raw), want) {
 		log.Fatalf("GET %s: response missing %q:\n%s", path, want, firstKB(raw))
 	}

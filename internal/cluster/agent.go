@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -20,9 +17,9 @@ import (
 // node dies. The agent is purely additive — a compassd without one is
 // a normal standalone daemon.
 type Agent struct {
-	coord string // coordinator control-plane address
-	srv   *server.Server
-	hc    *http.Client
+	coordAddr string
+	coord     *server.Client // the coordinator's control plane
+	srv       *server.Server
 
 	interval time.Duration
 	inflight atomic.Int64
@@ -41,10 +38,10 @@ const maxInflightPushes = 8
 // from the coordinator's registration response.
 func StartAgent(coordAddr string, srv *server.Server) (*Agent, error) {
 	a := &Agent{
-		coord: coordAddr,
-		srv:   srv,
-		hc:    &http.Client{Timeout: 15 * time.Second},
-		stop:  make(chan struct{}),
+		coordAddr: coordAddr,
+		coord:     server.NewClient(coordAddr, 15*time.Second),
+		srv:       srv,
+		stop:      make(chan struct{}),
 	}
 	interval, err := a.register()
 	if err != nil {
@@ -90,8 +87,8 @@ func (a *Agent) register() (time.Duration, error) {
 		MemoryBudget: a.srv.Manager().MemoryBudget(),
 	}
 	var resp RegisterResponse
-	if err := a.postJSON("/v1/cluster/nodes/register", req, &resp); err != nil {
-		return 0, fmt.Errorf("cluster: register with %s: %w", a.coord, err)
+	if err := a.coord.Do(http.MethodPost, "/v1/cluster/nodes/register", req, &resp); err != nil {
+		return 0, fmt.Errorf("cluster: register: %w", err)
 	}
 	interval := time.Duration(resp.HeartbeatMillis) * time.Millisecond
 	if interval <= 0 {
@@ -140,7 +137,7 @@ func (a *Agent) heartbeat() error {
 		Queued:   queued,
 		Sessions: pulses,
 	}
-	return a.postJSON("/v1/cluster/nodes/heartbeat", hb, nil)
+	return a.coord.Do(http.MethodPost, "/v1/cluster/nodes/heartbeat", hb, nil)
 }
 
 // pushCheckpoint ships one boundary export document.
@@ -150,28 +147,18 @@ func (a *Agent) pushCheckpoint(sessionID string, doc *server.ExportDoc) {
 		NodeSessionID: sessionID,
 		Export:        *doc,
 	}
-	a.postJSON("/v1/cluster/checkpoint", p, nil)
+	// A lost push only means an older restore point.
+	_ = a.coord.Do(http.MethodPost, "/v1/cluster/checkpoint", p, nil)
 }
 
 // Drain asks the coordinator to migrate every session off this node
 // (the SIGTERM path), returning once the coordinator has finished or
 // the timeout passes.
 func (a *Agent) Drain(timeout time.Duration) error {
-	hc := &http.Client{Timeout: timeout}
-	raw, err := json.Marshal(struct{}{})
-	if err != nil {
-		return err
-	}
-	resp, err := hc.Post(
-		"http://"+a.coord+"/v1/cluster/nodes/"+a.srv.NodeID()+"/drain",
-		"application/json", bytes.NewReader(raw))
+	err := server.NewClient(a.coordAddr, timeout).Do(http.MethodPost,
+		"/v1/cluster/nodes/"+a.srv.NodeID()+"/drain", struct{}{}, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: drain: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return fmt.Errorf("cluster: drain: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
 	return nil
 }
@@ -180,40 +167,6 @@ func (a *Agent) Drain(timeout time.Duration) error {
 func (a *Agent) Stop() {
 	a.stopOnce.Do(func() { close(a.stop) })
 	a.wg.Wait()
-	req, err := http.NewRequest(http.MethodDelete,
-		"http://"+a.coord+"/v1/cluster/nodes/"+a.srv.NodeID(), nil)
-	if err != nil {
-		return
-	}
-	if resp, err := a.hc.Do(req); err == nil {
-		resp.Body.Close()
-	}
-}
-
-// postJSON posts one document and decodes the response into out when
-// non-nil; non-2xx responses surface the coordinator's error envelope.
-func (a *Agent) postJSON(path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := a.hc.Post("http://"+a.coord+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env struct {
-			Error string `json:"error"`
-		}
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(b, &env) == nil && env.Error != "" {
-			return fmt.Errorf("cluster: coordinator %s: %s", a.coord, env.Error)
-		}
-		return fmt.Errorf("cluster: coordinator %s: %s", a.coord, resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// A coordinator that is already gone needs no deregistration.
+	_ = a.coord.Do(http.MethodDelete, "/v1/cluster/nodes/"+a.srv.NodeID(), nil, nil)
 }

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -144,7 +145,9 @@ type testCluster struct {
 	coord  *Coordinator
 	nodes  map[string]*server.Server
 	agents map[string]*Agent
-	hc     *http.Client
+	// ctl is the coordinator's control plane: the same client, on the
+	// same session routes, as drives a bare daemon.
+	ctl *server.Client
 }
 
 func newTestCluster(t *testing.T, opts Options) *testCluster {
@@ -175,7 +178,7 @@ func newTestCluster(t *testing.T, opts Options) *testCluster {
 		coord:  c,
 		nodes:  make(map[string]*server.Server),
 		agents: make(map[string]*Agent),
-		hc:     &http.Client{Timeout: 60 * time.Second},
+		ctl:    server.NewClient(c.HTTPAddr(), 60*time.Second),
 	}
 }
 
@@ -192,66 +195,28 @@ func (tc *testCluster) addNode(id string) *server.Server {
 	return srv
 }
 
-// doJSON issues one coordinator control-plane request.
-func (tc *testCluster) doJSON(method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, "http://"+tc.coord.HTTPAddr()+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := tc.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env struct {
-			Error string `json:"error"`
-		}
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(raw, &env) == nil && env.Error != "" {
-			return fmt.Errorf("%s %s: %s", method, path, env.Error)
-		}
-		return fmt.Errorf("%s %s: %s", method, path, resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (tc *testCluster) create(req *server.CreateRequest) SessionStatus {
+func (tc *testCluster) create(req *server.CreateRequest) *server.Info {
 	tc.t.Helper()
-	var st SessionStatus
-	if err := tc.doJSON(http.MethodPost, "/v1/cluster/sessions", req, &st); err != nil {
+	info, err := tc.ctl.Create(req)
+	if err != nil {
 		tc.t.Fatal(err)
 	}
-	return st
+	return info
 }
 
-func (tc *testCluster) verb(id, verb string) SessionStatus {
+func (tc *testCluster) verb(id, verb string) *server.Info {
 	tc.t.Helper()
-	var st SessionStatus
-	if err := tc.doJSON(http.MethodPost, "/v1/cluster/sessions/"+id+"/"+verb, nil, &st); err != nil {
+	info, err := tc.ctl.Lifecycle(id, verb)
+	if err != nil {
 		tc.t.Fatalf("%s %s: %v", verb, id, err)
 	}
-	return st
+	return info
 }
 
 func (tc *testCluster) migrate(id, target string) SessionStatus {
 	tc.t.Helper()
 	var st SessionStatus
-	if err := tc.doJSON(http.MethodPost, "/v1/cluster/sessions/"+id+"/migrate", &MigrateRequest{Target: target}, &st); err != nil {
+	if err := tc.ctl.Do(http.MethodPost, "/v1/cluster/sessions/"+id+"/migrate", &MigrateRequest{Target: target}, &st); err != nil {
 		tc.t.Fatalf("migrate %s to %q: %v", id, target, err)
 	}
 	return st
@@ -260,24 +225,10 @@ func (tc *testCluster) migrate(id, target string) SessionStatus {
 func (tc *testCluster) status(id string) SessionStatus {
 	tc.t.Helper()
 	var st SessionStatus
-	if err := tc.doJSON(http.MethodGet, "/v1/cluster/sessions/"+id, nil, &st); err != nil {
+	if err := tc.ctl.Do(http.MethodGet, "/v1/cluster/sessions/"+id, nil, &st); err != nil {
 		tc.t.Fatal(err)
 	}
 	return st
-}
-
-func (tc *testCluster) checkpoint(id string) []byte {
-	tc.t.Helper()
-	resp, err := tc.hc.Get("http://" + tc.coord.HTTPAddr() + "/v1/cluster/sessions/" + id + "/checkpoint")
-	if err != nil {
-		tc.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		tc.t.Fatalf("checkpoint %s: %s (%v): %s", id, resp.Status, err, raw)
-	}
-	return raw
 }
 
 // waitEnded polls until the cluster session reaches a terminal record.
@@ -333,59 +284,67 @@ func collectStream(c *server.StreamClient, ch chan<- streamResult) {
 
 // ---- the shared lifecycle script --------------------------------------
 
-// sessionDriver abstracts one spike-streamed session so the identical
-// lifecycle script can drive a cluster session (through the coordinator
-// control plane and stream proxy) and a solo reference session (against
-// a standalone daemon): the byte-identity comparison is only meaningful
-// when both runs see the same verbs and the same injected spikes.
-type sessionDriver interface {
-	verb(verb string) *server.Info // pause blocks until parked
-	streamEndpoint() (addr, id string)
-	checkpoint() []byte
+// sessionDriver drives one spike-streamed session through a control
+// plane and its stream plane. The coordinator serves the daemon's own
+// session routes, so a cluster session (through the coordinator and its
+// stream proxy) and its solo reference (on a standalone daemon) take
+// the same driver: the byte-identity comparison is only meaningful when
+// both runs see the same verbs and the same injected spikes.
+type sessionDriver struct {
+	t          *testing.T
+	ctl        *server.Client
+	streamAddr string
+	id         string
 }
 
-type clusterDriver struct {
-	tc *testCluster
-	id string
+func (tc *testCluster) driver(id string) *sessionDriver {
+	return &sessionDriver{t: tc.t, ctl: tc.ctl, streamAddr: tc.coord.StreamAddr(), id: id}
 }
 
-func (d *clusterDriver) verb(verb string) *server.Info {
-	st := d.tc.verb(d.id, verb)
-	return st.Info
-}
-func (d *clusterDriver) streamEndpoint() (string, string) {
-	return d.tc.coord.StreamAddr(), d.id
-}
-func (d *clusterDriver) checkpoint() []byte { return d.tc.checkpoint(d.id) }
-
-type soloDriver struct {
-	t   *testing.T
-	srv *server.Server
-	nc  *nodeClient
-	id  string
-}
-
-func newSoloDriver(t *testing.T, name string, req *server.CreateRequest) *soloDriver {
+func newSoloDriver(t *testing.T, name string, req *server.CreateRequest) *sessionDriver {
 	t.Helper()
 	srv := startNode(t, name)
-	nc := newNodeClient(srv.HTTPAddr(), 60*time.Second)
-	info, err := nc.createSession(req)
+	ctl := server.NewClient(srv.HTTPAddr(), 60*time.Second)
+	info, err := ctl.Create(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &soloDriver{t: t, srv: srv, nc: nc, id: info.ID}
+	return &sessionDriver{t: t, ctl: ctl, streamAddr: srv.StreamAddr(), id: info.ID}
 }
 
-func (d *soloDriver) verb(verb string) *server.Info {
-	info, err := d.nc.lifecycle(d.id, verb)
+// verb posts a lifecycle verb; pause blocks until parked.
+func (d *sessionDriver) verb(verb string) *server.Info {
+	d.t.Helper()
+	info, err := d.ctl.Lifecycle(d.id, verb)
 	if err != nil {
-		d.t.Fatalf("solo %s: %v", verb, err)
+		d.t.Fatalf("%s %s: %v", verb, d.id, err)
 	}
 	return info
 }
-func (d *soloDriver) streamEndpoint() (string, string) { return d.srv.StreamAddr(), d.id }
-func (d *soloDriver) checkpoint() []byte {
-	raw, err := d.nc.checkpoint(d.id)
+
+// awaitInjected waits until the session has ingested n streamed spikes.
+// A Send and a lifecycle verb travel on different connections, so a
+// verb sent right after a Send can overtake it: the spikes would then
+// land late, at other ticks than in the run they are compared with.
+func (d *sessionDriver) awaitInjected(n uint64) {
+	d.t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		info, err := d.ctl.Info(d.id)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		if info.Injected >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			d.t.Fatalf("session %s ingested %d of %d streamed spikes", d.id, info.Injected, n)
+		}
+	}
+}
+
+func (d *sessionDriver) checkpoint() []byte {
+	d.t.Helper()
+	raw, err := d.ctl.Checkpoint(d.id)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -407,12 +366,11 @@ var (
 
 // drive runs the script and returns the sorted egress trace and the
 // final checkpoint bytes.
-func drive(t *testing.T, d sessionDriver, sc script) ([]spikeio.Event, []byte) {
+func drive(t *testing.T, d *sessionDriver, sc script) ([]spikeio.Event, []byte) {
 	t.Helper()
-	addr, id := d.streamEndpoint()
-	stream, err := server.DialStream(addr, id, server.StreamFlagInject|server.StreamFlagSubscribe)
+	stream, err := server.DialStream(d.streamAddr, d.id, server.StreamFlagInject|server.StreamFlagSubscribe)
 	if err != nil {
-		t.Fatalf("dial stream %s at %s: %v", id, addr, err)
+		t.Fatalf("dial stream %s at %s: %v", d.id, d.streamAddr, err)
 	}
 	defer stream.Close()
 	results := make(chan streamResult, 1)
@@ -422,12 +380,13 @@ func drive(t *testing.T, d sessionDriver, sc script) ([]spikeio.Event, []byte) {
 	if err := stream.Send(preSpikes); err != nil {
 		t.Fatal(err)
 	}
+	d.awaitInjected(uint64(len(preSpikes)))
 
 	if sc.midrunPause > 0 {
 		d.verb("resume")
 		time.Sleep(sc.midrunPause)
 		info := d.verb("pause")
-		if info == nil || info.State != "paused" {
+		if info.State != "paused" {
 			t.Fatalf("mid-run pause did not settle: %+v", info)
 		}
 		if info.TicksDone >= midSpikes[0].Tick {
@@ -437,6 +396,7 @@ func drive(t *testing.T, d sessionDriver, sc script) ([]spikeio.Event, []byte) {
 		if err := stream.Send(midSpikes); err != nil {
 			t.Fatal(err)
 		}
+		d.awaitInjected(uint64(len(preSpikes) + len(midSpikes)))
 	}
 	if sc.mid != nil {
 		sc.mid()
@@ -553,28 +513,30 @@ func TestMigrationDeterminism(t *testing.T) {
 			if c.double {
 				tc.addNode("n3")
 			}
-			st := tc.create(req)
-			if st.Info == nil || st.Info.Placement == "" {
-				t.Fatalf("cluster create returned no placement info: %+v", st)
+			created := tc.create(req)
+			if !strings.HasPrefix(created.Placement, "coordinator:") || created.Node == "" {
+				t.Fatalf("cluster create returned no placement info: %+v", created)
 			}
 			csc := sc
 			csc.mid = func() {
-				before := tc.status(st.ClusterID)
-				moved := tc.migrate(st.ClusterID, "")
-				if moved.Node == before.Node {
-					t.Fatalf("migration stayed on %s", before.Node)
+				moved := tc.migrate(created.ID, "")
+				if moved.Node == created.Node {
+					t.Fatalf("migration stayed on %s", created.Node)
+				}
+				if moved.Info == nil || moved.Info.ID != created.ID || moved.Info.Node != moved.Node {
+					t.Fatalf("migrate answered %+v with session document %+v", moved, moved.Info)
 				}
 				if c.double {
-					again := tc.migrate(st.ClusterID, "")
+					again := tc.migrate(created.ID, "")
 					if again.Node == moved.Node {
 						t.Fatalf("second migration stayed on %s", moved.Node)
 					}
 				}
 			}
-			gotEvents, gotCkpt := drive(t, &clusterDriver{tc: tc, id: st.ClusterID}, csc)
+			gotEvents, gotCkpt := drive(t, tc.driver(created.ID), csc)
 			assertSameRun(t, c.name, gotEvents, wantEvents, gotCkpt, wantCkpt)
 
-			final := tc.waitEnded(st.ClusterID, 30*time.Second)
+			final := tc.waitEnded(created.ID, 30*time.Second)
 			wantMigrations := 1
 			if c.double {
 				wantMigrations = 2
@@ -611,8 +573,8 @@ func TestBatchedLaneMigration(t *testing.T) {
 	if stA.Node != stB.Node {
 		t.Fatalf("same-model sessions placed apart: %s vs %s", stA.Node, stB.Node)
 	}
-	if stA.Info.BatchGroup == "" || stA.Info.BatchGroup != stB.Info.BatchGroup {
-		t.Fatalf("sessions not sharing a batch group: %q vs %q", stA.Info.BatchGroup, stB.Info.BatchGroup)
+	if stA.BatchGroup == "" || stA.BatchGroup != stB.BatchGroup {
+		t.Fatalf("sessions not sharing a batch group: %q vs %q", stA.BatchGroup, stB.BatchGroup)
 	}
 
 	// B runs the plain script concurrently; A migrates out of the shared
@@ -623,11 +585,11 @@ func TestBatchedLaneMigration(t *testing.T) {
 	wgB.Add(1)
 	go func() {
 		defer wgB.Done()
-		gotB, ckptB = drive(t, &clusterDriver{tc: tc, id: stB.ClusterID}, script{})
+		gotB, ckptB = drive(t, tc.driver(stB.ID), script{})
 	}()
-	gotA, ckptA := drive(t, &clusterDriver{tc: tc, id: stA.ClusterID}, script{
+	gotA, ckptA := drive(t, tc.driver(stA.ID), script{
 		mid: func() {
-			moved := tc.migrate(stA.ClusterID, "")
+			moved := tc.migrate(stA.ID, "")
 			if moved.Node == stA.Node {
 				t.Errorf("migration stayed on %s", stA.Node)
 			}
@@ -658,10 +620,10 @@ func TestFailoverCrashFault(t *testing.T) {
 	st := tc.create(req)
 	home := st.Node
 
-	gotEvents, gotCkpt := drive(t, &clusterDriver{tc: tc, id: st.ClusterID}, script{})
+	gotEvents, gotCkpt := drive(t, tc.driver(st.ID), script{})
 	assertSameRun(t, "crash failover", gotEvents, wantEvents, gotCkpt, wantCkpt)
 
-	final := tc.waitEnded(st.ClusterID, 30*time.Second)
+	final := tc.waitEnded(st.ID, 30*time.Second)
 	if final.EndState != "done" {
 		t.Fatalf("end state %q, want done", final.EndState)
 	}
@@ -694,7 +656,7 @@ func TestFailoverNodeDeath(t *testing.T) {
 	st := tc.create(req) // n1 is the only node: the session lands there
 	tc.addNode("n2")     // the empty failover target
 
-	stream, err := server.DialStream(tc.coord.StreamAddr(), st.ClusterID,
+	stream, err := server.DialStream(tc.coord.StreamAddr(), st.ID,
 		server.StreamFlagInject|server.StreamFlagSubscribe)
 	if err != nil {
 		t.Fatal(err)
@@ -705,7 +667,8 @@ func TestFailoverNodeDeath(t *testing.T) {
 	if err := stream.Send(preSpikes); err != nil {
 		t.Fatal(err)
 	}
-	tc.verb(st.ClusterID, "resume")
+	tc.driver(st.ID).awaitInjected(uint64(len(preSpikes)))
+	tc.verb(st.ID, "resume")
 
 	// Mid-run, stop the owner's heartbeat loop without deregistering:
 	// the daemon (and the session) keeps running, but the coordinator
@@ -725,10 +688,10 @@ func TestFailoverNodeDeath(t *testing.T) {
 		t.Fatalf("stream error: %v", res.err)
 	}
 	sortEvents(res.events)
-	gotCkpt := tc.checkpoint(st.ClusterID)
+	gotCkpt := tc.driver(st.ID).checkpoint()
 	assertSameRun(t, "node death failover", res.events, wantEvents, gotCkpt, wantCkpt)
 
-	final := tc.waitEnded(st.ClusterID, 30*time.Second)
+	final := tc.waitEnded(st.ID, 30*time.Second)
 	if final.EndState != "done" {
 		t.Fatalf("end state %q, want done", final.EndState)
 	}
@@ -737,6 +700,96 @@ func TestFailoverNodeDeath(t *testing.T) {
 	}
 	if final.Node != "n2" {
 		t.Fatalf("session ended on %s, want the failover target n2", final.Node)
+	}
+}
+
+// ---- stream proxy lifetime ---------------------------------------------
+
+// TestStepRightAfterProxyHandshake steps a session the moment the
+// stream proxy has acknowledged the subscriber's handshake, with no
+// wait for the node to report the subscriber. The proxy acknowledges
+// only once it has subscribed at the owner, so the first window's
+// egress must arrive whole, every time.
+func TestStepRightAfterProxyHandshake(t *testing.T) {
+	req := modelRequest(t, testModel(4, 3100), "shmem", 60, "")
+
+	// firstWindow creates a session, subscribes, steps one chunk at once,
+	// deletes the session (which ends the stream) and returns everything
+	// the subscriber was sent.
+	firstWindow := func(ctl *server.Client, streamAddr string) []spikeio.Event {
+		t.Helper()
+		info, err := ctl.Create(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := server.DialStream(streamAddr, info.ID, server.StreamFlagSubscribe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Close()
+		results := make(chan streamResult, 1)
+		go collectStream(stream, results)
+		if _, err := ctl.Step(info.ID, &server.StepRequest{Ticks: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Delete(info.ID); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case res := <-results:
+			if res.err != nil {
+				t.Fatalf("stream error: %v", res.err)
+			}
+			sortEvents(res.events)
+			return res.events
+		case <-time.After(30 * time.Second):
+			t.Fatal("stream never reached EOF after delete")
+			return nil
+		}
+	}
+
+	solo := startNode(t, "solo")
+	want := firstWindow(server.NewClient(solo.HTTPAddr(), time.Minute), solo.StreamAddr())
+	if len(want) == 0 {
+		t.Fatal("reference window carries no egress; the test model is too quiet to prove anything")
+	}
+	tc := newTestCluster(t, Options{})
+	tc.addNode("n1")
+	for i := 0; i < 20; i++ {
+		got := firstWindow(tc.ctl, tc.coord.StreamAddr())
+		if len(got) != len(want) {
+			t.Fatalf("session %d: first window has %d records through the proxy, %d on the daemon", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("session %d: record %d = %+v through the proxy, %+v on the daemon", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestNodeShutdownAfterProxiedSessionEnds: once a proxied session has
+// ended, the proxy must have closed its connection to the owner. A node
+// that is left holding a half-closed stream waits out its 10 s
+// handshake deadline at shutdown.
+func TestNodeShutdownAfterProxiedSessionEnds(t *testing.T) {
+	// A connection nobody closes is closed by its finalizer when the
+	// collector gets to it; without collections a leak stays a leak.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	tc := newTestCluster(t, Options{})
+	srv := tc.addNode("n1")
+	created := tc.create(modelRequest(t, testModel(4, 3200), "shmem", 20, ""))
+	drive(t, tc.driver(created.ID), script{}) // returns at the subscriber's EOF
+	tc.waitEnded(created.ID, 30*time.Second)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	began := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("node shutdown took %v after its proxied session ended; the proxy kept its upstream open", took)
 	}
 }
 
@@ -760,13 +813,13 @@ func TestDrainNode(t *testing.T) {
 		Moved []string `json:"moved"`
 		Stuck []string `json:"stuck"`
 	}
-	if err := tc.doJSON(http.MethodPost, "/v1/cluster/nodes/n1/drain", struct{}{}, &out); err != nil {
+	if err := tc.ctl.Do(http.MethodPost, "/v1/cluster/nodes/n1/drain", struct{}{}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Moved) != 2 || len(out.Stuck) != 0 {
 		t.Fatalf("drain moved %v, stuck %v; want both moved", out.Moved, out.Stuck)
 	}
-	for _, id := range []string{st1.ClusterID, st2.ClusterID} {
+	for _, id := range []string{st1.ID, st2.ID} {
 		if st := tc.status(id); st.Node != "n2" {
 			t.Fatalf("session %s on %s after drain, want n2", id, st.Node)
 		}
@@ -780,7 +833,7 @@ func TestDrainNode(t *testing.T) {
 
 	// The migrated sessions still run to completion (StartPaused held
 	// them parked across the move).
-	for _, id := range []string{st1.ClusterID, st2.ClusterID} {
+	for _, id := range []string{st1.ID, st2.ID} {
 		tc.verb(id, "resume")
 		if st := tc.waitEnded(id, 60*time.Second); st.EndState != "done" {
 			t.Fatalf("session %s ended %q, want done", id, st.EndState)
@@ -804,8 +857,8 @@ func TestPlacementAffinity(t *testing.T) {
 	if st2.Node != st1.Node {
 		t.Fatalf("same-model session placed on %s, first on %s", st2.Node, st1.Node)
 	}
-	if st2.Info == nil || !strings.Contains(st2.Info.Placement, "model-affinity") {
-		t.Fatalf("placement reason %q, want model-affinity", st2.Info.Placement)
+	if !strings.Contains(st2.Placement, "model-affinity") {
+		t.Fatalf("placement reason %q, want model-affinity", st2.Placement)
 	}
 
 	// Let a heartbeat report the load so placement sees the imbalance,
@@ -817,9 +870,11 @@ func TestPlacementAffinity(t *testing.T) {
 	}
 }
 
-// TestControlPlaneSurface covers the coordinator HTTP surface and the
-// stream proxy's handshake rejections.
-func TestControlPlaneSurface(t *testing.T) {
+// TestClusterOnlySurface covers what the coordinator serves beyond the
+// daemon's session routes (those are held to the daemon's behaviour by
+// internal/server's TestSurfaceConformance) and the stream proxy's
+// handshake rejections.
+func TestClusterOnlySurface(t *testing.T) {
 	tc := newTestCluster(t, Options{})
 	tc.addNode("n1")
 	tc.addNode("n2")
@@ -830,7 +885,7 @@ func TestControlPlaneSurface(t *testing.T) {
 		Nodes    map[string]int `json:"nodes"`
 		Sessions map[string]int `json:"sessions"`
 	}
-	if err := tc.doJSON(http.MethodGet, "/healthz", nil, &hz); err != nil {
+	if err := tc.ctl.Do(http.MethodGet, "/healthz", nil, &hz); err != nil {
 		t.Fatal(err)
 	}
 	if hz.Status != "ok" || hz.Role != "coordinator" || hz.Nodes["total"] != 2 {
@@ -840,56 +895,106 @@ func TestControlPlaneSurface(t *testing.T) {
 	var nodes struct {
 		Nodes []NodeStatus `json:"nodes"`
 	}
-	if err := tc.doJSON(http.MethodGet, "/v1/cluster/nodes", nil, &nodes); err != nil {
+	if err := tc.ctl.Do(http.MethodGet, "/v1/cluster/nodes", nil, &nodes); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes.Nodes) != 2 || nodes.Nodes[0].ID != "n1" || !nodes.Nodes[0].Alive {
 		t.Fatalf("node list: %+v", nodes.Nodes)
 	}
 
+	// wantStatus requires err to be the control plane's refusal with the
+	// given HTTP status.
+	wantStatus := func(what string, err error, code int) {
+		t.Helper()
+		var refused *server.StatusError
+		if !errors.As(err, &refused) || refused.Code != code {
+			t.Fatalf("%s: %v, want status %d", what, err, code)
+		}
+	}
+
 	// A heartbeat from an unregistered node is a conflict: the sender
 	// must re-register.
-	err := tc.doJSON(http.MethodPost, "/v1/cluster/nodes/heartbeat", &Heartbeat{NodeID: "ghost"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "register") {
+	err := tc.ctl.Do(http.MethodPost, "/v1/cluster/nodes/heartbeat", &Heartbeat{NodeID: "ghost"}, nil)
+	wantStatus("ghost heartbeat", err, http.StatusConflict)
+	if !strings.Contains(err.Error(), "register") {
 		t.Fatalf("ghost heartbeat: %v, want re-register error", err)
 	}
 
-	// Unknown session: 404 on status, migrate, and stream handshake.
-	if err := tc.doJSON(http.MethodGet, "/v1/cluster/sessions/nope", nil, nil); err == nil {
-		t.Fatal("unknown session status succeeded")
-	}
-	if err := tc.doJSON(http.MethodPost, "/v1/cluster/sessions/nope/migrate", nil, nil); err == nil {
-		t.Fatal("unknown session migrate succeeded")
-	}
+	// Unknown session: 404 on status and migrate, rejection on the stream
+	// handshake.
+	wantStatus("unknown session status",
+		tc.ctl.Do(http.MethodGet, "/v1/cluster/sessions/nope", nil, nil), http.StatusNotFound)
+	wantStatus("unknown session migrate",
+		tc.ctl.Do(http.MethodPost, "/v1/cluster/sessions/nope/migrate", nil, nil), http.StatusNotFound)
 	if _, err := server.DialStream(tc.coord.StreamAddr(), "nope", server.StreamFlagSubscribe); err == nil {
 		t.Fatal("proxy accepted a handshake for an unknown session")
 	}
 
-	st := tc.create(modelRequest(t, testModel(4, 8100), "shmem", 30, ""))
-	if got := tc.status(st.ClusterID); got.ClusterID != st.ClusterID || got.Node == "" {
-		t.Fatalf("status: %+v", got)
+	created := tc.create(modelRequest(t, testModel(4, 8100), "shmem", 30, ""))
+	if got := tc.status(created.ID); got.ClusterID != created.ID || got.Node != created.Node ||
+		got.Info == nil || got.Info.ID != created.ID {
+		t.Fatalf("status: %+v (session document %+v)", got, got.Info)
 	}
 	var list struct {
 		Sessions []SessionStatus `json:"sessions"`
 	}
-	if err := tc.doJSON(http.MethodGet, "/v1/cluster/sessions", nil, &list); err != nil {
+	if err := tc.ctl.Do(http.MethodGet, "/v1/cluster/sessions", nil, &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Sessions) != 1 || list.Sessions[0].ClusterID != st.ClusterID {
+	if len(list.Sessions) != 1 || list.Sessions[0].ClusterID != created.ID {
 		t.Fatalf("session list: %+v", list.Sessions)
 	}
 
 	// A handshake with neither inject nor subscribe is rejected.
-	if _, err := server.DialStream(tc.coord.StreamAddr(), st.ClusterID, 0); err == nil {
+	if _, err := server.DialStream(tc.coord.StreamAddr(), created.ID, 0); err == nil {
 		t.Fatal("proxy accepted a flagless handshake")
 	}
 
-	// Deleting through the cluster API removes the record and the
-	// owner-side session.
-	if err := tc.doJSON(http.MethodDelete, "/v1/cluster/sessions/"+st.ClusterID, nil, nil); err != nil {
+	// The routes the coordinator used to mirror under /v1/cluster/sessions
+	// are gone, not aliased; and moving a session is the coordinator's
+	// business, so the daemon's export is not relayed.
+	wantStatus("mirrored create",
+		tc.ctl.Do(http.MethodPost, "/v1/cluster/sessions", modelRequest(t, testModel(4, 8100), "shmem", 30, ""), nil),
+		http.StatusMethodNotAllowed)
+	wantStatus("mirrored resume",
+		tc.ctl.Do(http.MethodPost, "/v1/cluster/sessions/"+created.ID+"/resume", nil, nil), http.StatusNotFound)
+	_, err = tc.ctl.Export(created.ID)
+	wantStatus("relayed export", err, http.StatusNotFound)
+
+	// No node can host a session that costs more than any node's whole
+	// capacity: the fleet is over capacity, as a full daemon would be.
+	tiny := newTestCluster(t, Options{})
+	if err := tiny.coord.register(&RegisterRequest{NodeID: "small", HTTPAddr: "127.0.0.1:1", Capacity: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.doJSON(http.MethodGet, "/v1/cluster/sessions/"+st.ClusterID, nil, nil); err == nil {
-		t.Fatal("deleted session still listed")
+	_, err = tiny.ctl.Create(modelRequest(t, testModel(4, 8100), "shmem", 30, ""))
+	wantStatus("create with no eligible node", err, http.StatusTooManyRequests)
+
+	// Deleting removes the record and the owner-side session; the status
+	// view of an ended session outlives the owner's copy.
+	done := tc.create(modelRequest(t, testModel(4, 8200), "shmem", 20, ""))
+	tc.verb(done.ID, "resume")
+	tc.waitEnded(done.ID, 30*time.Second)
+	if st := tc.status(done.ID); st.Info == nil || st.Info.State != "done" || st.Info.TicksDone != 20 {
+		t.Fatalf("ended session, owner holding it: session document %+v", st.Info)
+	}
+	rc, err := tc.coord.getRec(done.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, nodeSessionID := tc.coord.owner(rc)
+	if err := owner.client.Delete(nodeSessionID); err != nil {
+		t.Fatal(err)
+	}
+	if st := tc.status(done.ID); st.Info == nil || st.Info.State != "done" || st.Info.ID != done.ID {
+		t.Fatalf("ended session, owner no longer holding it: session document %+v", st.Info)
+	}
+	if err := tc.ctl.Delete(created.ID); err != nil {
+		t.Fatal(err)
+	}
+	wantStatus("deleted session status",
+		tc.ctl.Do(http.MethodGet, "/v1/cluster/sessions/"+created.ID, nil, nil), http.StatusNotFound)
+	if left := tc.nodes[created.Node].Manager().List(); len(left) != 0 {
+		t.Fatalf("owner still holds %d session(s) after delete", len(left))
 	}
 }

@@ -75,7 +75,7 @@ type node struct {
 	streamAddr   string
 	capacity     float64
 	memoryBudget int64
-	client       *nodeClient
+	client       *server.Client
 
 	// All below are guarded by the coordinator's mu.
 	lastSeen time.Time
@@ -111,6 +111,7 @@ type rec struct {
 	userPaused    bool // client asked for paused; restores keep it parked
 	ended         bool
 	endState      string
+	endErr        string
 	migrating     bool // a planned migration holds the record
 
 	// Stream proxy state: inject journal for failover replay, and the
@@ -146,6 +147,11 @@ type Coordinator struct {
 
 	imbalanceFor int // consecutive monitor rounds over the threshold
 
+	// ownerTransport carries the session proxy's requests to the nodes.
+	// Every step of every session crosses it, so it keeps more idle
+	// connections per node than the default transport's two.
+	ownerTransport *http.Transport
+
 	httpLn   net.Listener
 	streamLn net.Listener
 	httpSrv  *http.Server
@@ -163,6 +169,8 @@ func NewCoordinator(opts Options) *Coordinator {
 		stop:  make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.ownerTransport = http.DefaultTransport.(*http.Transport).Clone()
+	c.ownerTransport.MaxIdleConnsPerHost = 64
 	return c
 }
 
@@ -200,6 +208,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	close(c.stop)
 	c.streamLn.Close()
 	err := c.httpSrv.Shutdown(ctx)
+	c.ownerTransport.CloseIdleConnections()
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -222,7 +231,7 @@ func (c *Coordinator) register(req *RegisterRequest) error {
 		streamAddr:   req.StreamAddr,
 		capacity:     req.Capacity,
 		memoryBudget: req.MemoryBudget,
-		client:       newNodeClient(req.HTTPAddr, c.opts.NodeTimeout),
+		client:       server.NewClient(req.HTTPAddr, c.opts.NodeTimeout),
 		lastSeen:     time.Now(),
 		resident:     make(map[string]bool),
 	}
@@ -309,8 +318,8 @@ func (c *Coordinator) heartbeat(hb *Heartbeat) error {
 		switch p.State {
 		case "done", "drained", "cancelled":
 			// Normal end of life. Drained/cancelled can only happen via
-			// the cluster API (which marks ended itself) or out-of-band;
-			// either way there is nothing left to failover.
+			// the coordinator's routes (which mark ended themselves) or
+			// out-of-band; either way there is nothing left to failover.
 			acts = append(acts, action{r: r, state: p.State})
 		case "failed":
 			if r.req.Faults != "" && r.restores < c.opts.MaxRestores {
@@ -350,10 +359,10 @@ func (c *Coordinator) endSession(r *rec, state, errMsg string) {
 				r.committedTick = t
 			}
 		}
+		r.endErr = errMsg
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
-	_ = errMsg
 }
 
 // checkpointPush folds a node agent's boundary report into the record
@@ -726,13 +735,10 @@ func (c *Coordinator) getRec(id string) (*rec, error) {
 	return r, nil
 }
 
-// ownerClient returns the current owner's client and node session id.
-func (c *Coordinator) ownerClient(r *rec) (*nodeClient, string, error) {
+// owner returns the session's current owner (nil when it is not
+// registered) and the session's ID there.
+func (c *Coordinator) owner(r *rec) (*node, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.nodes[r.nodeID]
-	if n == nil {
-		return nil, "", fmt.Errorf("cluster: session %s owner %s not registered", r.clusterID, r.nodeID)
-	}
-	return n.client, r.nodeSessionID, nil
+	return c.nodes[r.nodeID], r.nodeSessionID
 }

@@ -1,34 +1,29 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httputil"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"github.com/cognitive-sim/compass/internal/server"
 )
 
-// The cluster control plane mirrors the shape of a single compassd
-// control plane — same JSON error envelope, same lifecycle verbs — so
-// a client can talk to a coordinator almost exactly like it talks to
-// one daemon, with session IDs that stay stable across migrations.
-
-func clusterError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func clusterJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
+// The coordinator serves the daemon's own session routes — same paths,
+// bodies, status codes and headers — so a client cannot tell it from
+// the daemon it fronts, except that its session IDs stay stable across
+// migrations. Create is the coordinator's own (placement); every
+// per-session route is one reverse proxy to the session's owner.
+// /v1/cluster/ holds only what a daemon has no counterpart for: fleet
+// membership, checkpoint pushes, the SessionStatus view and migrate.
 
 // nodeStatusLocked builds a node's status document. Callers hold mu.
 func (c *Coordinator) nodeStatusLocked(n *node) NodeStatus {
@@ -62,22 +57,156 @@ func (c *Coordinator) nodeStatusLocked(n *node) NodeStatus {
 	}
 }
 
-// status returns a session's status, with the owner's live info when
-// the owner is reachable.
+// status returns a session's status with the owner's live document for
+// as long as the owner holds the session, ended or not; once it does
+// not, an ended session answers from the record.
 func (c *Coordinator) status(r *rec) SessionStatus {
 	c.mu.Lock()
 	st := r.statusLocked()
-	ended := r.ended
-	c.mu.Unlock()
-	if ended {
-		return st
+	n, sid := c.nodes[r.nodeID], r.nodeSessionID
+	if r.ended {
+		st.Info = &server.Info{
+			ID: r.clusterID, Name: r.req.Name, State: r.endState, Error: r.endErr,
+			Node: r.nodeID, ModelHash: r.modelHash, Scenario: r.req.Scenario,
+		}
 	}
-	if nc, id, err := c.ownerClient(r); err == nil {
-		if info, err := nc.sessionInfo(id); err == nil {
+	c.mu.Unlock()
+	if n != nil {
+		if info, err := n.client.Info(sid); err == nil {
+			info.ID = r.clusterID
 			st.Info = info
 		}
 	}
 	return st
+}
+
+// relay is what the session proxy carries through one request: the
+// record, the owner it goes to, and the route ("" for the session
+// itself, else "/pause", "/step", …).
+type relay struct {
+	r         *rec
+	addr, sid string
+	route     string
+}
+
+type relayKey struct{}
+
+// sessionProxy serves the daemon's per-session routes by relaying each
+// request to the session's owner under its node-local ID and passing
+// the answer through — status, headers and body — with the session
+// document's id set back to the cluster ID. What the coordinator adds
+// is three hooks: the inject barrier before resume and step, the
+// user-paused flag after pause and resume, and dropping the record
+// after delete.
+func (c *Coordinator) sessionProxy() http.Handler {
+	rp := &httputil.ReverseProxy{
+		Transport: c.ownerTransport,
+		Rewrite: func(pr *httputil.ProxyRequest) {
+			rl := pr.In.Context().Value(relayKey{}).(*relay)
+			pr.Out.URL.Scheme, pr.Out.URL.Host, pr.Out.Host = "http", rl.addr, ""
+			pr.Out.URL.Path, pr.Out.URL.RawPath = "/v1/sessions/"+rl.sid+rl.route, ""
+		},
+		ModifyResponse: func(resp *http.Response) error {
+			rl := resp.Request.Context().Value(relayKey{}).(*relay)
+			ok := resp.StatusCode >= 200 && resp.StatusCode <= 299
+			if resp.Request.Method == http.MethodDelete {
+				if ok || resp.StatusCode == http.StatusNotFound {
+					c.forget(rl.r)
+				}
+				return nil
+			}
+			if !ok || rl.route == "/checkpoint" {
+				return nil
+			}
+			var info server.Info
+			err := json.NewDecoder(resp.Body).Decode(&info)
+			resp.Body.Close()
+			if err != nil {
+				return fmt.Errorf("session document: %w", err)
+			}
+			info.ID = rl.r.clusterID
+			raw, err := json.MarshalIndent(&info, "", "  ")
+			if err != nil {
+				return err
+			}
+			raw = append(raw, '\n')
+			resp.Body = io.NopCloser(bytes.NewReader(raw))
+			resp.ContentLength = int64(len(raw))
+			resp.Header.Set("Content-Length", strconv.Itoa(len(raw)))
+			if rl.route == "/pause" || rl.route == "/resume" {
+				c.mu.Lock()
+				rl.r.userPaused = rl.route == "/pause"
+				c.mu.Unlock()
+			}
+			return nil
+		},
+		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			rl := r.Context().Value(relayKey{}).(*relay)
+			server.WriteError(w, http.StatusBadGateway,
+				fmt.Errorf("cluster: session %s owner at %s: %w", rl.r.clusterID, rl.addr, err))
+		},
+	}
+	return c.withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
+		route := strings.TrimPrefix(r.URL.Path, "/v1/sessions/"+rc.clusterID)
+		switch route {
+		case "", "/pause", "/stop", "/scenario-report", "/checkpoint":
+		case "/resume", "/step":
+			// Spikes injected through the stream proxy before this request
+			// must reach the owner before any tick it releases can fire,
+			// exactly as on a directly-driven daemon; running under an
+			// un-drained journal would deliver them late.
+			c.awaitInjectSync(rc, 5*time.Second)
+		default:
+			// Export in particular: parking a session for a move is the
+			// coordinator's own business (migrate).
+			server.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: no session route %q", route))
+			return
+		}
+		n, sid := c.owner(rc)
+		if n == nil {
+			if r.Method == http.MethodDelete {
+				c.forget(rc)
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			server.WriteError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("cluster: session %s has no registered owner", rc.clusterID))
+			return
+		}
+		rl := &relay{r: rc, addr: n.httpAddr, sid: sid, route: route}
+		rp.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), relayKey{}, rl)))
+	})
+}
+
+// withRec resolves the path's cluster session ID, answering 404 itself
+// for an unknown one.
+func (c *Coordinator) withRec(fn func(http.ResponseWriter, *http.Request, *rec)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rc, err := c.getRec(r.PathValue("id"))
+		if err != nil {
+			server.WriteError(w, http.StatusNotFound, err)
+			return
+		}
+		fn(w, r, rc)
+	}
+}
+
+// forget ends a deleted session and drops its record.
+func (c *Coordinator) forget(r *rec) {
+	c.endSession(r, "cancelled", "deleted")
+	c.mu.Lock()
+	delete(c.recs, r.clusterID)
+	c.mu.Unlock()
+}
+
+// decodeBody reads a JSON request body into v, answering 400 itself
+// when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode %s: %w", what, err))
+		return false
+	}
+	return true
 }
 
 // handler builds the coordinator control-plane mux.
@@ -96,7 +225,7 @@ func (c *Coordinator) handler() http.Handler {
 		}
 		total := len(c.recs)
 		c.mu.Unlock()
-		clusterJSON(w, http.StatusOK, map[string]any{
+		server.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":         "ok",
 			"role":           "coordinator",
 			"uptime_seconds": int64(time.Since(c.started).Seconds()),
@@ -106,44 +235,69 @@ func (c *Coordinator) handler() http.Handler {
 		})
 	})
 
+	// The daemon's session surface.
+	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		var req server.CreateRequest
+		if !decodeBody(w, r, "request", &req) {
+			return
+		}
+		info, err := c.CreateSession(&req)
+		if err != nil {
+			// The owner's refusal keeps its status (400, 429); a fleet
+			// with no room is over capacity like a full daemon.
+			code := http.StatusBadRequest
+			var refused *server.StatusError
+			if errors.Is(err, ErrNoEligibleNode) {
+				code = http.StatusTooManyRequests
+			} else if errors.As(err, &refused) {
+				code = refused.Code
+			}
+			server.WriteError(w, code, err)
+			return
+		}
+		server.WriteJSON(w, http.StatusCreated, info)
+	})
+	proxy := c.sessionProxy()
+	mux.Handle("GET /v1/sessions/{id}", proxy)
+	mux.Handle("DELETE /v1/sessions/{id}", proxy)
+	mux.Handle("GET /v1/sessions/{id}/checkpoint", proxy)
+	mux.Handle("POST /v1/sessions/{id}/{verb}", proxy)
+
 	// Fleet membership.
 	mux.HandleFunc("POST /v1/cluster/nodes/register", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode register: %w", err))
+		if !decodeBody(w, r, "register", &req) {
 			return
 		}
 		if err := c.register(&req); err != nil {
-			clusterError(w, http.StatusBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		clusterJSON(w, http.StatusOK, RegisterResponse{
+		server.WriteJSON(w, http.StatusOK, RegisterResponse{
 			HeartbeatMillis: c.opts.HeartbeatInterval.Milliseconds(),
 		})
 	})
 
 	mux.HandleFunc("POST /v1/cluster/nodes/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var hb Heartbeat
-		if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode heartbeat: %w", err))
+		if !decodeBody(w, r, "heartbeat", &hb) {
 			return
 		}
 		if err := c.heartbeat(&hb); err != nil {
 			// Unknown node: tell it to re-register (coordinator restart).
-			clusterError(w, http.StatusConflict, err)
+			server.WriteError(w, http.StatusConflict, err)
 			return
 		}
-		clusterJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("POST /v1/cluster/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		var p CheckpointPush
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode checkpoint push: %w", err))
+		if !decodeBody(w, r, "checkpoint push", &p) {
 			return
 		}
 		c.checkpointPush(&p)
-		clusterJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("GET /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
@@ -158,16 +312,16 @@ func (c *Coordinator) handler() http.Handler {
 			out = append(out, c.nodeStatusLocked(c.nodes[id]))
 		}
 		c.mu.Unlock()
-		clusterJSON(w, http.StatusOK, map[string]any{"nodes": out})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"nodes": out})
 	})
 
 	mux.HandleFunc("POST /v1/cluster/nodes/{id}/drain", func(w http.ResponseWriter, r *http.Request) {
 		moved, stuck, err := c.DrainNode(r.PathValue("id"))
 		if err != nil {
-			clusterError(w, http.StatusNotFound, err)
+			server.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		clusterJSON(w, http.StatusOK, map[string]any{"moved": moved, "stuck": stuck})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"moved": moved, "stuck": stuck})
 	})
 
 	mux.HandleFunc("DELETE /v1/cluster/nodes/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -175,25 +329,8 @@ func (c *Coordinator) handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	// Sessions.
-	mux.HandleFunc("POST /v1/cluster/sessions", func(w http.ResponseWriter, r *http.Request) {
-		var req server.CreateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode request: %w", err))
-			return
-		}
-		st, err := c.CreateSession(&req)
-		if err != nil {
-			code := http.StatusBadRequest
-			if strings.Contains(err.Error(), "no eligible node") {
-				code = http.StatusTooManyRequests
-			}
-			clusterError(w, code, err)
-			return
-		}
-		clusterJSON(w, http.StatusCreated, st)
-	})
-
+	// The coordinator's own view of sessions: owner, generation,
+	// committed tick.
 	mux.HandleFunc("GET /v1/cluster/sessions", func(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		ids := make([]string, 0, len(c.recs))
@@ -206,152 +343,24 @@ func (c *Coordinator) handler() http.Handler {
 			out = append(out, c.recs[id].statusLocked())
 		}
 		c.mu.Unlock()
-		clusterJSON(w, http.StatusOK, map[string]any{"sessions": out})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"sessions": out})
 	})
 
-	withRec := func(fn func(http.ResponseWriter, *http.Request, *rec)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			rc, err := c.getRec(r.PathValue("id"))
-			if err != nil {
-				clusterError(w, http.StatusNotFound, err)
-				return
-			}
-			fn(w, r, rc)
-		}
-	}
-
-	mux.HandleFunc("GET /v1/cluster/sessions/{id}", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
-		clusterJSON(w, http.StatusOK, c.status(rc))
+	mux.HandleFunc("GET /v1/cluster/sessions/{id}", c.withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
+		server.WriteJSON(w, http.StatusOK, c.status(rc))
 	}))
 
-	mux.HandleFunc("POST /v1/cluster/sessions/{id}/migrate", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
+	mux.HandleFunc("POST /v1/cluster/sessions/{id}/migrate", c.withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
 		var req MigrateRequest
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode migrate: %w", err))
-				return
-			}
+		if r.ContentLength != 0 && !decodeBody(w, r, "migrate", &req) {
+			return
 		}
 		st, err := c.Migrate(rc.clusterID, req.Target)
 		if err != nil {
-			clusterError(w, http.StatusConflict, err)
+			server.WriteError(w, http.StatusConflict, err)
 			return
 		}
-		clusterJSON(w, http.StatusOK, st)
-	}))
-
-	lifecycle := func(verb string) http.HandlerFunc {
-		return withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
-			nc, id, err := c.ownerClient(rc)
-			if err != nil {
-				clusterError(w, http.StatusConflict, err)
-				return
-			}
-			if verb == "resume" {
-				// Spikes injected through the proxy while the session was
-				// parked must land before any tick fires, exactly as they
-				// would on a directly-driven daemon; resuming under an
-				// un-drained journal would deliver them late.
-				c.awaitInjectSync(rc, 5*time.Second)
-			}
-			info, err := nc.lifecycle(id, verb)
-			if err != nil {
-				clusterError(w, http.StatusConflict, err)
-				return
-			}
-			c.mu.Lock()
-			switch verb {
-			case "pause":
-				rc.userPaused = true
-			case "resume":
-				rc.userPaused = false
-			}
-			st := rc.statusLocked()
-			c.mu.Unlock()
-			st.Info = info
-			clusterJSON(w, http.StatusOK, st)
-		})
-	}
-	mux.HandleFunc("POST /v1/cluster/sessions/{id}/pause", lifecycle("pause"))
-	mux.HandleFunc("POST /v1/cluster/sessions/{id}/resume", lifecycle("resume"))
-	mux.HandleFunc("POST /v1/cluster/sessions/{id}/stop", lifecycle("stop"))
-
-	mux.HandleFunc("POST /v1/cluster/sessions/{id}/step", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
-		var req server.StepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode step: %w", err))
-			return
-		}
-		nc, id, err := c.ownerClient(rc)
-		if err != nil {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		// Same ordering contract as resume: every spike injected through
-		// the proxy before the step must reach the owner before the ticks
-		// it grants can fire.
-		c.awaitInjectSync(rc, 5*time.Second)
-		info, err := nc.step(id, &req)
-		if err != nil {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		c.mu.Lock()
-		st := rc.statusLocked()
-		c.mu.Unlock()
-		st.Info = info
-		clusterJSON(w, http.StatusOK, st)
-	}))
-
-	mux.HandleFunc("POST /v1/cluster/sessions/{id}/scenario-report", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
-		var req server.ScenarioReportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decode scenario report: %w", err))
-			return
-		}
-		nc, id, err := c.ownerClient(rc)
-		if err != nil {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		info, err := nc.scenarioReport(id, &req)
-		if err != nil {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		c.mu.Lock()
-		st := rc.statusLocked()
-		c.mu.Unlock()
-		st.Info = info
-		clusterJSON(w, http.StatusOK, st)
-	}))
-
-	mux.HandleFunc("GET /v1/cluster/sessions/{id}/checkpoint", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
-		nc, id, err := c.ownerClient(rc)
-		if err != nil {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		raw, err := nc.checkpoint(id)
-		if err != nil {
-			clusterError(w, http.StatusConflict, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(raw)
-	}))
-
-	mux.HandleFunc("DELETE /v1/cluster/sessions/{id}", withRec(func(w http.ResponseWriter, r *http.Request, rc *rec) {
-		if nc, id, err := c.ownerClient(rc); err == nil {
-			if err := nc.deleteSession(id); err != nil {
-				c.logf("delete %s: owner cleanup failed: %v", rc.clusterID, err)
-			}
-		}
-		c.endSession(rc, "cancelled", "deleted via cluster API")
-		c.mu.Lock()
-		delete(c.recs, rc.clusterID)
-		c.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
+		server.WriteJSON(w, http.StatusOK, st)
 	}))
 
 	return mux

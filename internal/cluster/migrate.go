@@ -45,9 +45,9 @@ import (
 // still see each record exactly once. Determinism makes the replayed
 // ticks bit-identical to the lost ones.
 
-// CreateSession places a new session on the cluster and returns its
-// status (with the owner's live info).
-func (c *Coordinator) CreateSession(req *server.CreateRequest) (*SessionStatus, error) {
+// CreateSession places a new session on the cluster and returns the
+// owner's session document under the session's cluster ID.
+func (c *Coordinator) CreateSession(req *server.CreateRequest) (*server.Info, error) {
 	cost := requestCost(req)
 	// Affinity: if an earlier session with the same source resolved to
 	// a model hash, prefer nodes holding that image.
@@ -63,7 +63,7 @@ func (c *Coordinator) CreateSession(req *server.CreateRequest) (*SessionStatus, 
 
 	fwd := *req
 	fwd.Placement = fmt.Sprintf("coordinator:%s:%s", reason, n.id)
-	info, err := n.client.createSession(&fwd)
+	info, err := n.client.Create(&fwd)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +79,10 @@ func (c *Coordinator) CreateSession(req *server.CreateRequest) (*SessionStatus, 
 	c.mu.Lock()
 	c.recs[clusterID] = r
 	n.resident[info.ModelHash] = true
-	st := r.statusLocked()
 	c.mu.Unlock()
-	st.Info = info
+	info.ID = clusterID
 	c.logf("session %s placed on %s (%s, %.3g s/tick)", clusterID, n.id, reason, cost)
-	return &st, nil
+	return info, nil
 }
 
 // knownHashForSource returns the model hash an identical source
@@ -139,7 +138,7 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 	}
 
 	// 1. Export (pauses at the next chunk boundary).
-	doc, err := src.client.exportSession(r.nodeSessionID)
+	doc, err := src.client.Export(r.nodeSessionID)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: export %s from %s: %w", clusterID, r.nodeID, err)
 	}
@@ -180,7 +179,7 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 	oldSessionID := r.nodeSessionID
 	srcID := r.nodeID
 	c.adoptOwner(r, dst, info, doc.Tick, len(doc.PendingSpikes))
-	if err := src.client.deleteSession(oldSessionID); err != nil {
+	if err := src.client.Delete(oldSessionID); err != nil {
 		c.logf("migrate %s: source cleanup on %s failed: %v", clusterID, srcID, err)
 	}
 	c.awaitInjectSync(r, 10*time.Second)
@@ -188,16 +187,15 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 
 	// 4. Resume on the destination.
 	if !r.userPaused {
-		if _, err := dst.client.lifecycle(info.ID, "resume"); err != nil {
+		if _, err := dst.client.Lifecycle(info.ID, "resume"); err != nil {
 			return nil, fmt.Errorf("cluster: resume %s on %s: %w", clusterID, dst.id, err)
 		}
 	}
 	c.mu.Lock()
 	r.migrations++
-	st := r.statusLocked()
 	c.mu.Unlock()
-	st.Info = info
 	c.logf("session %s migrated to %s at boundary tick %d", clusterID, dst.id, doc.Tick)
+	st := c.status(r)
 	return &st, nil
 }
 
@@ -229,7 +227,7 @@ func (c *Coordinator) awaitInjectSync(r *rec, timeout time.Duration) {
 		waitCondDeadline(c.cond, deadline)
 	}
 	want := uint64(r.genPending) + r.fwdSent
-	var nc *nodeClient
+	var nc *server.Client
 	var sid, owner string
 	if n := c.nodes[r.nodeID]; n != nil && !n.dead {
 		nc, sid, owner = n.client, r.nodeSessionID, n.id
@@ -239,7 +237,7 @@ func (c *Coordinator) awaitInjectSync(r *rec, timeout time.Duration) {
 		return
 	}
 	for time.Now().Before(deadline) {
-		info, err := nc.sessionInfo(sid)
+		info, err := nc.Info(sid)
 		if err == nil && info.Injected >= want {
 			return
 		}
@@ -251,8 +249,8 @@ func (c *Coordinator) awaitInjectSync(r *rec, timeout time.Duration) {
 // resumeBestEffort un-parks a session after a failed migration so the
 // export's pause doesn't strand it; its error (if any) is folded into
 // the returned suffix for the caller's message.
-func resumeBestEffort(nc *nodeClient, id string) string {
-	if _, err := nc.lifecycle(id, "resume"); err != nil {
+func resumeBestEffort(nc *server.Client, id string) string {
+	if _, err := nc.Lifecycle(id, "resume"); err != nil {
 		return fmt.Sprintf(" (and resume after abort failed: %v)", err)
 	}
 	return ""
@@ -270,7 +268,7 @@ func (c *Coordinator) importOn(dst *node, r *rec, doc *server.ExportDoc, peerHTT
 		Placement:    placement,
 		StartPaused:  true,
 	}
-	return dst.client.importSession(req)
+	return dst.client.Import(req)
 }
 
 // adoptOwner atomically rebinds a record to its new owner; basePending
@@ -385,7 +383,7 @@ func (c *Coordinator) restore(r *rec, cause string) {
 	c.awaitInjectSync(r, 10*time.Second)
 	c.waitProxyAttach(r, 10*time.Second)
 	if !r.userPaused {
-		if _, err := dst.client.lifecycle(info.ID, "resume"); err != nil {
+		if _, err := dst.client.Lifecycle(info.ID, "resume"); err != nil {
 			c.logf("restore %s: resume on %s failed: %v", r.clusterID, dst.id, err)
 		}
 	}
@@ -395,7 +393,7 @@ func (c *Coordinator) restore(r *rec, cause string) {
 	dead := c.nodes[deadNode]
 	c.mu.Unlock()
 	if dead != nil && !dead.dead {
-		if err := dead.client.deleteSession(oldSessionID); err != nil {
+		if err := dead.client.Delete(oldSessionID); err != nil {
 			c.logf("restore %s: remnant cleanup on %s failed: %v", r.clusterID, deadNode, err)
 		}
 	}
@@ -415,7 +413,7 @@ func (c *Coordinator) restoreFresh(r *rec, deadNode, cause string) {
 		c.endSession(r, "failed", fmt.Sprintf("restore: %v", err))
 		return
 	}
-	info, err := dst.client.createSession(&req)
+	info, err := dst.client.Create(&req)
 	if err != nil {
 		c.endSession(r, "failed", fmt.Sprintf("restore create: %v", err))
 		return
@@ -427,7 +425,7 @@ func (c *Coordinator) restoreFresh(r *rec, deadNode, cause string) {
 	c.awaitInjectSync(r, 10*time.Second)
 	c.waitProxyAttach(r, 10*time.Second)
 	if !r.userPaused {
-		if _, err := dst.client.lifecycle(info.ID, "resume"); err != nil {
+		if _, err := dst.client.Lifecycle(info.ID, "resume"); err != nil {
 			c.logf("restore %s: resume on %s failed: %v", r.clusterID, dst.id, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -110,6 +111,11 @@ func checkpointCores(ckptBase64 string) int {
 	return 0
 }
 
+// ErrNoEligibleNode is place's refusal: no registered node could ever
+// host the session. The create route answers it with 429, as a daemon
+// answers server.ErrOverCapacity.
+var ErrNoEligibleNode = errors.New("cluster: no eligible node")
+
 // place picks the node for a session of the given modelled cost,
 // preferring nodes with the model already resident, then the lowest
 // relative utilization. Nodes in exclude, draining, or whose whole
@@ -143,7 +149,7 @@ func (c *Coordinator) place(cost float64, modelHash string, exclude map[string]b
 		})
 	}
 	if len(cands) == 0 {
-		return nil, "", fmt.Errorf("cluster: no eligible node for session costing %.3g s/tick", cost)
+		return nil, "", fmt.Errorf("%w for session costing %.3g s/tick", ErrNoEligibleNode, cost)
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		if cands[i].affinity != cands[j].affinity {

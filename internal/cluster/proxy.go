@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -62,6 +60,16 @@ type proxyConn struct {
 	r     *rec
 	flags byte
 
+	// update signals a coordinator state change (commit horizon advanced,
+	// ownership changed, session ended). clientGone closes when the
+	// connection must be torn down: the client broke the protocol or its
+	// connection, or — until the handshake is acknowledged — the
+	// handshake timer ran out.
+	update     chan struct{}
+	clientGone chan struct{}
+	handshake  *time.Timer
+	acked      bool // run's goroutine only
+
 	mu      sync.Mutex
 	client  net.Conn
 	pending []genEvent // records above the committed horizon
@@ -110,7 +118,7 @@ func (c *Coordinator) acceptProxy(ln net.Listener) {
 // serveProxyConn handles one client stream end to end.
 func (c *Coordinator) serveProxyConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	conn.SetReadDeadline(time.Now().Add(server.StreamHandshakeTimeout))
 	flags, id, err := server.ReadStreamHandshake(conn)
 	if err != nil {
 		server.WriteStreamReject(conn, err)
@@ -125,11 +133,13 @@ func (c *Coordinator) serveProxyConn(conn net.Conn) {
 		server.WriteStreamReject(conn, fmt.Errorf("cluster: handshake requests neither inject nor subscribe"))
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
-	if err := server.WriteStreamOK(conn); err != nil {
-		return
+	p := &proxyConn{
+		c: c, r: r, flags: flags, client: conn,
+		update:     make(chan struct{}, 1),
+		clientGone: make(chan struct{}),
 	}
-	p := &proxyConn{c: c, r: r, flags: flags, client: conn}
+	p.handshake = time.AfterFunc(server.StreamHandshakeTimeout, func() { close(p.clientGone) })
+	defer p.handshake.Stop()
 	c.mu.Lock()
 	r.proxyRefs++
 	c.mu.Unlock()
@@ -143,6 +153,32 @@ func (c *Coordinator) serveProxyConn(conn net.Conn) {
 		p.mu.Unlock()
 	}()
 	p.run()
+	if !p.acked {
+		server.WriteStreamReject(conn, fmt.Errorf("cluster: session %s: no owner to attach to within %v",
+			id, server.StreamHandshakeTimeout))
+	}
+}
+
+// ack acknowledges the client's handshake, once, and starts reading its
+// frames. A subscriber is acknowledged only after the proxy has
+// subscribed at the owner (the daemon likewise subscribes before it
+// acknowledges), so a step sent right after the handshake cannot outrun
+// the subscription and lose its window's egress. False means the
+// connection is finished.
+func (p *proxyConn) ack() bool {
+	if p.acked {
+		return true
+	}
+	if !p.handshake.Stop() {
+		return false // out of time: clientGone is closed, the caller rejects
+	}
+	p.acked = true
+	p.client.SetReadDeadline(time.Time{})
+	if err := server.WriteStreamOK(p.client); err != nil {
+		return false
+	}
+	go p.readClient()
+	return true
 }
 
 // snapshot reads the record's ownership state.
@@ -160,106 +196,109 @@ func (p *proxyConn) snapshot() (gen int, nodeStream, nodeSessionID string, commi
 // run is the proxy connection's main loop: one iteration per ownership
 // generation.
 func (p *proxyConn) run() {
-	// The client reader forwards inject frames (and notices the client
-	// hanging up). It lives for the connection.
-	clientGone := make(chan struct{})
-	go p.readClient(clientGone)
-
-	// The update watcher turns coordinator state changes (commit
-	// horizon advanced, ownership changed, session ended) into channel
-	// signals the generation loop can select on.
-	update := make(chan struct{}, 1)
-	go p.watchUpdates(update)
-
+	go p.watchUpdates()
+	// Injects are journaled whoever owns the session, so an inject-only
+	// client has nothing to wait for.
+	if p.flags&server.StreamFlagSubscribe == 0 && !p.ack() {
+		return
+	}
 	for {
 		select {
-		case <-clientGone:
+		case <-p.clientGone:
+			return
+		case <-p.c.stop:
 			return
 		default:
 		}
 		gen, streamAddr, sessionID, _, ended := p.snapshot()
 		if ended {
-			p.flushPending(^uint64(0), -1)
+			if p.ack() {
+				p.flushPending(^uint64(0), -1)
+			}
 			return
 		}
-		up, ok := p.dialUpstream(gen, streamAddr, sessionID, update, clientGone)
+		up, ok := p.dialUpstream(gen, streamAddr, sessionID)
 		if !ok {
-			if p.isClosed() {
-				return
-			}
-			continue // ownership changed while dialing; next generation
+			continue // ownership changed while dialing, or the proxy is closing
 		}
-
 		p.c.markAttached(p.r, gen)
+		if p.follow(gen, up) {
+			return
+		}
+	}
+}
 
-		// Pump this generation: upstream records buffer as (gen, event)
-		// and release as the horizon advances.
-		recCh := make(chan []spikeio.Event, 4)
-		go func() {
-			defer close(recCh)
-			for {
-				events, err := up.Recv()
-				if err != nil {
-					return
-				}
-				if len(events) > 0 {
-					recCh <- events
-				}
-			}
-		}()
-
-		genDone := false
-		for !genDone {
-			select {
-			case events, ok := <-recCh:
-				if !ok {
-					// Upstream ended. If the session ended too this is the
-					// natural EOF; flush everything and finish. Otherwise
-					// wait for the coordinator to move the session.
-					if _, _, _, _, end := p.snapshot(); end {
-						p.flushPending(^uint64(0), -1)
-						return
-					}
-					if !p.waitGenChange(gen, update, clientGone) {
-						return
-					}
-					genDone = true
-					continue
-				}
-				p.buffer(events, gen)
-				if !p.flushCommitted() {
-					return
-				}
-			case <-update:
-				if !p.flushCommitted() {
-					return
-				}
-				curGen, _, _, _, end := p.snapshot()
-				if end {
-					// Drain what the upstream already sent, then flush all.
-					p.drainUpstream(up, recCh, gen)
-					p.flushPending(^uint64(0), -1)
-					return
-				}
-				if curGen != gen {
-					// Ownership moved. Drain the old owner briefly (a live
-					// source EOFs once its remnant is deleted), release
-					// anything that became committed, then drop the dead
-					// generation's uncommitted leftovers and follow.
-					p.drainUpstream(up, recCh, gen)
-					if !p.flushCommitted() {
-						return
-					}
-					_, _, _, committed, _ := p.snapshot()
-					p.dropGenAbove(gen, committed)
-					genDone = true
-				}
-			case <-clientGone:
-				up.Close()
+// follow pumps one generation: upstream records buffer as (gen, event)
+// and release as the horizon advances. It returns false when ownership
+// moved on and the next generation is to be followed, true when the
+// connection is finished; either way the upstream is closed, so the
+// owner is not left holding a half-closed stream.
+func (p *proxyConn) follow(gen int, up *server.StreamClient) (done bool) {
+	recCh := make(chan []spikeio.Event, 4) // lets the reader run a few frames ahead of the flush
+	go func() {
+		defer close(recCh)
+		for {
+			events, err := up.Recv()
+			if err != nil {
 				return
 			}
+			if len(events) > 0 {
+				recCh <- events
+			}
 		}
+	}()
+	defer func() {
 		up.Close()
+		for range recCh {
+		}
+	}()
+	if !p.ack() {
+		return true
+	}
+	for {
+		select {
+		case events, ok := <-recCh:
+			if !ok {
+				// Upstream ended. If the session ended too this is the
+				// natural EOF; flush everything and finish. Otherwise
+				// wait for the coordinator to move the session.
+				if _, _, _, _, end := p.snapshot(); end {
+					p.flushPending(^uint64(0), -1)
+					return true
+				}
+				return !p.waitGenChange(gen)
+			}
+			p.buffer(events, gen)
+			if !p.flushCommitted() {
+				return true
+			}
+		case <-p.update:
+			if !p.flushCommitted() {
+				return true
+			}
+			curGen, _, _, _, end := p.snapshot()
+			if end {
+				// Drain what the upstream already sent, then flush all.
+				p.drainUpstream(up, recCh, gen)
+				p.flushPending(^uint64(0), -1)
+				return true
+			}
+			if curGen != gen {
+				// Ownership moved. Drain the old owner briefly (a live
+				// source EOFs once its remnant is deleted), release
+				// anything that became committed, then drop the dead
+				// generation's uncommitted leftovers and follow.
+				p.drainUpstream(up, recCh, gen)
+				if !p.flushCommitted() {
+					return true
+				}
+				_, _, _, committed, _ := p.snapshot()
+				p.dropGenAbove(gen, committed)
+				return false
+			}
+		case <-p.clientGone:
+			return true
+		}
 	}
 }
 
@@ -267,16 +306,13 @@ func (p *proxyConn) run() {
 // owner is unreachable and the generation unchanged. ok=false means
 // the generation moved on (or the proxy is closing) and the caller
 // should re-snapshot.
-func (p *proxyConn) dialUpstream(gen int, streamAddr, sessionID string, update chan struct{}, clientGone chan struct{}) (*server.StreamClient, bool) {
+func (p *proxyConn) dialUpstream(gen int, streamAddr, sessionID string) (*server.StreamClient, bool) {
 	// One timer for the whole retry loop (not one per iteration, which
 	// would leave each pass's timer pending until it fires); disarmed on
 	// every non-timer exit so a cancelled dial loop leaves nothing armed.
 	retry := newReusableTimer()
 	defer retry.Disarm()
 	for {
-		if p.isClosed() {
-			return nil, false
-		}
 		if curGen, _, _, _, ended := p.snapshot(); curGen != gen || ended {
 			return nil, false
 		}
@@ -288,22 +324,19 @@ func (p *proxyConn) dialUpstream(gen int, streamAddr, sessionID string, update c
 		}
 		select {
 		case <-retry.Arm(proxyDialRetry):
-			gen2, addr2, id2, _, ended := p.snapshot()
-			if gen2 != gen || ended {
-				return nil, false
-			}
-			streamAddr, sessionID = addr2, id2
-		case <-update:
-			// State changed; loop re-snapshots.
+		case <-p.update:
 			retry.Disarm()
-			gen2, addr2, id2, _, ended := p.snapshot()
-			if gen2 != gen || ended {
-				return nil, false
-			}
-			streamAddr, sessionID = addr2, id2
-		case <-clientGone:
+		case <-p.clientGone:
+			return nil, false
+		case <-p.c.stop:
 			return nil, false
 		}
+		// Time passed or state changed; re-read where the owner is.
+		gen2, addr2, id2, _, ended := p.snapshot()
+		if gen2 != gen || ended {
+			return nil, false
+		}
+		streamAddr, sessionID = addr2, id2
 	}
 }
 
@@ -334,7 +367,7 @@ func (p *proxyConn) drainUpstream(up *server.StreamClient, recCh chan []spikeio.
 
 // waitGenChange blocks until the ownership generation moves past gen
 // or the session ends; false means the proxy should shut down.
-func (p *proxyConn) waitGenChange(gen int, update chan struct{}, clientGone chan struct{}) bool {
+func (p *proxyConn) waitGenChange(gen int) bool {
 	for {
 		curGen, _, _, _, ended := p.snapshot()
 		if ended {
@@ -350,8 +383,8 @@ func (p *proxyConn) waitGenChange(gen int, update chan struct{}, clientGone chan
 			return true
 		}
 		select {
-		case <-update:
-		case <-clientGone:
+		case <-p.update:
+		case <-p.clientGone:
 			return false
 		}
 	}
@@ -359,7 +392,7 @@ func (p *proxyConn) waitGenChange(gen int, update chan struct{}, clientGone chan
 
 // watchUpdates translates coordinator condition broadcasts into a
 // non-blocking signal channel.
-func (p *proxyConn) watchUpdates(update chan struct{}) {
+func (p *proxyConn) watchUpdates() {
 	c := p.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -371,7 +404,7 @@ func (p *proxyConn) watchUpdates(update chan struct{}) {
 			return
 		}
 		select {
-		case update <- struct{}{}:
+		case p.update <- struct{}{}:
 		default:
 		}
 		c.cond.Wait()
@@ -387,12 +420,6 @@ func (c *Coordinator) markAttached(r *rec, gen int) {
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-}
-
-func (p *proxyConn) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
 }
 
 // buffer holds records until the commit horizon passes them.
@@ -444,7 +471,7 @@ func (p *proxyConn) flushPending(horizon uint64, gen int) bool {
 	if len(out) == 0 {
 		return true
 	}
-	return writeFrames(client, out) == nil
+	return server.WriteStreamFrames(client, out) == nil
 }
 
 // dropGenAbove discards a dead generation's uncommitted records — the
@@ -470,37 +497,14 @@ func (p *proxyConn) dropGenAbove(gen int, horizon uint64) {
 // owner, so this loop never blocks behind a slow or mid-migration
 // upstream. A clean EOF at a frame boundary (half-close, or a
 // subscriber that simply never writes) stops injection but keeps egress
-// flowing, mirroring compassd's stream plane; clientGone fires only on
-// protocol violations or mid-frame errors, which tear the connection
-// down.
-func (p *proxyConn) readClient(clientGone chan struct{}) {
-	var lenBuf [4]byte
-	rec := make([]byte, spikeio.RecordSize)
-	inject := p.flags&server.StreamFlagInject != 0
-	for {
-		if _, err := io.ReadFull(p.client, lenBuf[:]); err != nil {
-			if err != io.EOF {
-				close(clientGone)
-			}
-			return
-		}
-		count := binary.LittleEndian.Uint32(lenBuf[:])
-		if count == 0 {
-			continue
-		}
-		if count > 1<<20 || !inject {
-			close(clientGone)
-			return
-		}
-		events := make([]spikeio.Event, 0, count)
-		for i := uint32(0); i < count; i++ {
-			if _, err := io.ReadFull(p.client, rec); err != nil {
-				close(clientGone)
-				return
-			}
-			events = append(events, spikeio.DecodeRecord(rec))
-		}
-		p.c.journalInject(p.r, events)
+// flowing, mirroring compassd's stream plane; anything else — a
+// protocol violation, a broken or closed connection — tears the
+// connection down.
+func (p *proxyConn) readClient() {
+	err := server.ReadInjectFrames(p.client, p.flags&server.StreamFlagInject != 0,
+		func(events []spikeio.Event) { p.c.journalInject(p.r, events) })
+	if err != nil {
+		close(p.clientGone)
 	}
 }
 
@@ -512,26 +516,4 @@ func (c *Coordinator) journalInject(r *rec, events []spikeio.Event) {
 	c.startForwarderLocked(r)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-}
-
-// writeFrames encodes records into one or more frames on the client
-// connection.
-func writeFrames(w io.Writer, events []spikeio.Event) error {
-	const maxBatch = 4096
-	for len(events) > 0 {
-		n := len(events)
-		if n > maxBatch {
-			n = maxBatch
-		}
-		buf := make([]byte, 4+n*spikeio.RecordSize)
-		binary.LittleEndian.PutUint32(buf, uint32(n))
-		for i, ev := range events[:n] {
-			spikeio.EncodeRecord(buf[4+i*spikeio.RecordSize:], ev)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		events = events[n:]
-	}
-	return nil
 }

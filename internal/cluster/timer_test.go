@@ -50,17 +50,17 @@ func TestDialLoopCancelledLeavesNoPendingTimers(t *testing.T) {
 
 	c := NewCoordinator(Options{})
 	r := &rec{clusterID: "cs-timer", nodeID: "n1"}
-	p := &proxyConn{c: c, r: r}
+	p := &proxyConn{c: c, r: r, update: make(chan struct{}, 1)}
 
 	runCancelledLoop := func() {
-		update := make(chan struct{}, 1)
 		clientGone := make(chan struct{})
+		p.clientGone = clientGone
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			// Empty stream address: the owner is unreachable, so the
 			// loop is pure retry-timer churn until cancelled.
-			if up, ok := p.dialUpstream(r.gen, "", "", update, clientGone); ok {
+			if up, ok := p.dialUpstream(r.gen, "", ""); ok {
 				up.Close()
 				t.Error("dialUpstream connected with no owner address")
 			}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,115 +16,49 @@ import (
 	"github.com/cognitive-sim/compass/internal/spikeio"
 )
 
-// Client drives scenario sessions over a compassd control plane. It
-// speaks both serving surfaces: a single daemon (/v1/sessions) and a
-// cluster coordinator (/v1/cluster/sessions) — Dial probes /healthz and
-// adapts to whichever answers, so every caller is cluster-transparent.
+// Client drives scenario sessions over a serving surface: a compassd or
+// a cluster coordinator, which serves the same session routes — the
+// control plane through server.Client, the spike stream at the address
+// /healthz advertises.
 type Client struct {
-	addr       string
+	ctl        *server.Client
 	streamAddr string
-	cluster    bool
-	hc         *http.Client
+	role       string
 }
 
 // Dial probes a compassd or coordinator control plane and returns a
 // client bound to it.
 func Dial(addr string) (*Client, error) {
-	c := &Client{addr: addr, hc: &http.Client{Timeout: 120 * time.Second}}
+	c := &Client{ctl: server.NewClient(addr, 120*time.Second)}
 	var h struct {
 		Role       string `json:"role"`
 		StreamAddr string `json:"stream_addr"`
 	}
-	if err := c.doJSON(http.MethodGet, "/healthz", nil, &h); err != nil {
+	if err := c.ctl.Do(http.MethodGet, "/healthz", nil, &h); err != nil {
 		return nil, fmt.Errorf("scenario: probe %s: %w", addr, err)
 	}
-	c.cluster = h.Role == "coordinator"
-	c.streamAddr = h.StreamAddr
+	c.role, c.streamAddr = h.Role, h.StreamAddr
 	if c.streamAddr == "" {
 		return nil, fmt.Errorf("scenario: %s advertises no stream plane", addr)
 	}
 	return c, nil
 }
 
-// Cluster reports whether the client is bound to a coordinator.
-func (c *Client) Cluster() bool { return c.cluster }
+// Cluster reports whether /healthz named a coordinator; nothing the
+// client does depends on it.
+func (c *Client) Cluster() bool { return c.role == "coordinator" }
 
 // StreamAddr returns the bound stream plane address.
 func (c *Client) StreamAddr() string { return c.streamAddr }
 
-func (c *Client) base() string {
-	if c.cluster {
-		return "/v1/cluster/sessions"
-	}
-	return "/v1/sessions"
-}
-
-func (c *Client) doJSON(method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, "http://"+c.addr+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env struct {
-			Error string `json:"error"`
-		}
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(raw, &env) == nil && env.Error != "" {
-			return fmt.Errorf("scenario: %s: %s", c.addr, env.Error)
-		}
-		return fmt.Errorf("scenario: %s: %s", c.addr, resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// decodeSession reads both serving surfaces' session documents: a
-// daemon returns server.Info inline, a coordinator wraps it in a
-// SessionStatus with the cluster-stable ID.
-func decodeSession(raw json.RawMessage) (string, *server.Info, error) {
-	var env struct {
-		ClusterID string       `json:"cluster_id"`
-		Info      *server.Info `json:"info"`
-	}
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return "", nil, err
-	}
-	if env.ClusterID != "" {
-		return env.ClusterID, env.Info, nil
-	}
-	var info server.Info
-	if err := json.Unmarshal(raw, &info); err != nil {
-		return "", nil, err
-	}
-	return info.ID, &info, nil
-}
-
-// Create admits a scenario session and returns its (cluster-stable)
-// session ID and initial info.
+// Create admits a scenario session and returns its session ID (stable
+// across migrations behind a coordinator) and initial info.
 func (c *Client) Create(req *server.CreateRequest) (string, *server.Info, error) {
-	var raw json.RawMessage
-	if err := c.doJSON(http.MethodPost, c.base(), req, &raw); err != nil {
+	info, err := c.ctl.Create(req)
+	if err != nil {
 		return "", nil, err
 	}
-	return decodeSession(raw)
+	return info.ID, info, nil
 }
 
 // Step grants the session exactly ticks further ticks and returns after
@@ -134,35 +67,21 @@ func (c *Client) Create(req *server.CreateRequest) (string, *server.Info, error)
 // the session has ingested that many streamed spikes, closing the race
 // between the stream connection and this control-plane call.
 func (c *Client) Step(id string, ticks, minInjected uint64) (*server.Info, error) {
-	var raw json.RawMessage
-	req := server.StepRequest{Ticks: ticks, MinInjected: minInjected}
-	if err := c.doJSON(http.MethodPost, c.base()+"/"+id+"/step", &req, &raw); err != nil {
-		return nil, err
-	}
-	_, info, err := decodeSession(raw)
-	return info, err
+	return c.ctl.Step(id, &server.StepRequest{Ticks: ticks, MinInjected: minInjected})
 }
 
 // Info fetches the session's status document.
-func (c *Client) Info(id string) (*server.Info, error) {
-	var raw json.RawMessage
-	if err := c.doJSON(http.MethodGet, c.base()+"/"+id, nil, &raw); err != nil {
-		return nil, err
-	}
-	_, info, err := decodeSession(raw)
-	return info, err
-}
+func (c *Client) Info(id string) (*server.Info, error) { return c.ctl.Info(id) }
 
 // ScenarioReport folds episode progress into the serving daemon's
 // per-scenario telemetry.
 func (c *Client) ScenarioReport(id string, req *server.ScenarioReportRequest) error {
-	return c.doJSON(http.MethodPost, c.base()+"/"+id+"/scenario-report", req, nil)
+	_, err := c.ctl.ScenarioReport(id, req)
+	return err
 }
 
 // Remove stops and deletes the session.
-func (c *Client) Remove(id string) error {
-	return c.doJSON(http.MethodDelete, c.base()+"/"+id, nil, nil)
-}
+func (c *Client) Remove(id string) error { return c.ctl.Delete(id) }
 
 // DialStream opens the session's spike stream with the given flags.
 func (c *Client) DialStream(id string, flags byte) (*server.StreamClient, error) {

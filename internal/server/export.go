@@ -5,8 +5,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"time"
 
 	sim "github.com/cognitive-sim/compass/internal/compass"
@@ -177,7 +175,7 @@ func (srv *Server) resolveImportImage(req *ImportRequest) (*truenorth.Image, str
 		return img, cacheKey, nil
 	}
 	if req.PeerHTTPAddr != "" {
-		raw, err := FetchModelBytes(req.PeerHTTPAddr, hash)
+		raw, err := NewClient(req.PeerHTTPAddr, 2*time.Minute).Model(hash)
 		if err == nil {
 			cache := srv.mgr.ModelCache()
 			e, _, err := cache.GetOrBuild(modelcache.ModelKey(raw), func() (*modelcache.Entry, error) {
@@ -283,32 +281,4 @@ func (srv *Server) importSession(req *ImportRequest) (*Session, error) {
 		s.InjectSpikes(spikes)
 	}
 	return s, nil
-}
-
-// maxWireModelBytes bounds a model pulled over the wire (1 GiB).
-const maxWireModelBytes = 1 << 30
-
-// FetchModelBytes pulls a serialized binary model by content hash from
-// a peer daemon's control plane (GET /v1/models/{hash}). The caller
-// verifies the rebuilt image's hash; this helper only moves bytes.
-func FetchModelBytes(peerHTTPAddr, hash string) ([]byte, error) {
-	url := fmt.Sprintf("http://%s/v1/models/%s", peerHTTPAddr, hash)
-	client := &http.Client{Timeout: 2 * time.Minute}
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("server: peer %s: %s: %s", peerHTTPAddr, resp.Status, bytes.TrimSpace(body))
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxWireModelBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) > maxWireModelBytes {
-		return nil, fmt.Errorf("server: peer %s model exceeds %d bytes", peerHTTPAddr, maxWireModelBytes)
-	}
-	return raw, nil
 }

@@ -236,14 +236,16 @@ func (srv *Server) sessionFromRequest(req *CreateRequest) (CreateParams, error) 
 	return p, nil
 }
 
-// httpError is the JSON error envelope.
-func httpError(w http.ResponseWriter, code int, err error) {
+// WriteError writes the control plane's JSON error envelope,
+// {"error": …}; the coordinator answers with the same one.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON document.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -251,12 +253,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// stepInjectTimeout is how long a step's inject barrier may hold the
+// request before it answers 504. A variable only so that tests of the
+// timeout need not wait it out.
+var stepInjectTimeout = 30 * time.Second
+
 // handler builds the control-plane mux.
 func (srv *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		running, queued, total := srv.mgr.Counts()
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status":           "ok",
 			"uptime_seconds":   int64(time.Since(srv.started).Seconds()),
 			"stream_addr":      srv.StreamAddr(),
@@ -278,12 +285,12 @@ func (srv *Server) handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req CreateRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("server: decode request: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("server: decode request: %w", err))
 			return
 		}
 		p, err := srv.sessionFromRequest(&req)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		s, err := srv.mgr.Create(p)
@@ -292,21 +299,21 @@ func (srv *Server) handler() http.Handler {
 			if errors.Is(err, ErrOverCapacity) {
 				code = http.StatusTooManyRequests
 			}
-			httpError(w, code, err)
+			WriteError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.Info())
+		WriteJSON(w, http.StatusCreated, s.Info())
 	})
 
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"sessions": srv.mgr.List()})
+		WriteJSON(w, http.StatusOK, map[string]any{"sessions": srv.mgr.List()})
 	})
 
 	withSession := func(fn func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			s, err := srv.mgr.Get(r.PathValue("id"))
 			if err != nil {
-				httpError(w, http.StatusNotFound, err)
+				WriteError(w, http.StatusNotFound, err)
 				return
 			}
 			fn(w, r, s)
@@ -314,39 +321,39 @@ func (srv *Server) handler() http.Handler {
 	}
 
 	mux.HandleFunc("GET /v1/sessions/{id}", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
-		writeJSON(w, http.StatusOK, s.Info())
+		WriteJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/pause", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		if err := s.Pause(); err != nil {
-			httpError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
 		// Pause resolves at the next chunk boundary; wait briefly so the
 		// common case returns the settled state.
 		s.WaitState(5*time.Second, func(st State) bool { return st != StateRunning })
-		writeJSON(w, http.StatusOK, s.Info())
+		WriteJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/resume", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		if err := s.Resume(); err != nil {
-			httpError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Info())
+		WriteJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/step", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		var req StepRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("server: decode step: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("server: decode step: %w", err))
 			return
 		}
 		if req.MinInjected > 0 {
-			if err := s.WaitInjected(req.MinInjected, 30*time.Second); err != nil {
-				httpError(w, http.StatusGatewayTimeout, err)
+			if err := s.WaitInjected(req.MinInjected, stepInjectTimeout); err != nil {
+				WriteError(w, http.StatusGatewayTimeout, err)
 				return
 			}
 		}
 		if err := s.StepTicks(req.Ticks); err != nil {
-			httpError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
 		// The budget resolves at a chunk boundary (paused) or run end
@@ -355,12 +362,12 @@ func (srv *Server) handler() http.Handler {
 		s.WaitState(60*time.Second, func(st State) bool {
 			return st == StatePaused || st.Terminal()
 		})
-		writeJSON(w, http.StatusOK, s.Info())
+		WriteJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/scenario-report", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		var req ScenarioReportRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("server: decode scenario report: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("server: decode scenario report: %w", err))
 			return
 		}
 		name := req.Scenario
@@ -368,25 +375,25 @@ func (srv *Server) handler() http.Handler {
 			name = s.Scenario()
 		}
 		if name == "" {
-			httpError(w, http.StatusBadRequest, errors.New("server: session has no scenario label and none was given"))
+			WriteError(w, http.StatusBadRequest, errors.New("server: session has no scenario label and none was given"))
 			return
 		}
 		srv.mgr.ScenarioReport(name, req.Episodes, req.Steps, req.Reward)
-		writeJSON(w, http.StatusOK, s.Info())
+		WriteJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/stop", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		if err := srv.mgr.Stop(s.ID); err != nil {
-			httpError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
 		s.WaitState(5*time.Second, func(st State) bool { return st.Terminal() })
-		writeJSON(w, http.StatusOK, s.Info())
+		WriteJSON(w, http.StatusOK, s.Info())
 	}))
 	mux.HandleFunc("GET /v1/sessions/{id}/checkpoint", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		cp := s.ExportCheckpoint()
 		var buf bytes.Buffer
 		if err := coreobject.WriteCheckpoint(&buf, cp); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -395,7 +402,7 @@ func (srv *Server) handler() http.Handler {
 	}))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		if err := srv.mgr.Remove(s.ID); err != nil {
-			httpError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -406,20 +413,20 @@ func (srv *Server) handler() http.Handler {
 	// pull only what they don't hold. See DESIGN.md §5h.
 	mux.HandleFunc("POST /v1/sessions/{id}/export", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
 		if err := parkForExport(s, 30*time.Second); err != nil {
-			httpError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
 		doc, err := buildExportDoc(s)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, doc)
+		WriteJSON(w, http.StatusOK, doc)
 	}))
 	mux.HandleFunc("POST /v1/sessions/import", func(w http.ResponseWriter, r *http.Request) {
 		var req ImportRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("server: decode import: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("server: decode import: %w", err))
 			return
 		}
 		s, err := srv.importSession(&req)
@@ -428,21 +435,21 @@ func (srv *Server) handler() http.Handler {
 			if errors.Is(err, ErrOverCapacity) {
 				code = http.StatusTooManyRequests
 			}
-			httpError(w, code, err)
+			WriteError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.Info())
+		WriteJSON(w, http.StatusCreated, s.Info())
 	})
 	mux.HandleFunc("GET /v1/models/{hash}", func(w http.ResponseWriter, r *http.Request) {
 		hash := r.PathValue("hash")
 		img, _, ok := srv.mgr.FindImageByHash(hash)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("server: model %.12s… not resident", hash))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("server: model %.12s… not resident", hash))
 			return
 		}
 		var buf bytes.Buffer
 		if err := coreobject.WriteModel(&buf, img.Model()); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -474,7 +481,7 @@ func LiveMux(snap func() *telemetry.Snapshot) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", MetricsHandler(snap))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 	})
 	return mux
 }

@@ -702,41 +702,12 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("metrics missing server counters:\n%s", text)
 	}
 
-	// Error paths: unknown id, bad body, unknown stream session.
-	req, _ := http.NewRequest(http.MethodPost, base+"/v1/sessions/nope/pause", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("pause unknown: status %d, want 404", resp.StatusCode)
-	}
-	resp, err = http.Post(base+"/v1/sessions", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body: status %d, want 400", resp.StatusCode)
-	}
+	// The per-session routes' error paths and DELETE are held to their
+	// status codes by TestSurfaceConformance; the stream plane's
+	// rejection is only here.
 	if _, err := DialStream(srv.StreamAddr(), "nope", StreamFlagSubscribe); err == nil ||
 		!strings.Contains(err.Error(), "no such session") {
 		t.Fatalf("dial unknown session: err %v, want rejection naming the session", err)
-	}
-
-	// DELETE removes the session.
-	req, _ = http.NewRequest(http.MethodDelete, base+"/v1/sessions/"+info.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete: status %d, want 204", resp.StatusCode)
-	}
-	if code := getJSON("/v1/sessions/"+info.ID, nil); code != http.StatusNotFound {
-		t.Fatalf("status after delete: code %d, want 404", code)
 	}
 }
 

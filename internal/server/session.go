@@ -428,6 +428,12 @@ func (s *Session) StepTicks(n uint64) error {
 	}
 	s.stepBudget += n
 	s.pauseReq = false
+	if s.state == StatePaused {
+		// The grant releases the parked runner; say so now rather than
+		// when it wakes, or a caller waiting for the budget to resolve
+		// takes the pause it is leaving for the one it will reach.
+		s.state = StateRunning
+	}
 	s.cond.Broadcast()
 	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -44,9 +45,9 @@ const (
 	// length prefix cannot demand an absurd allocation.
 	maxFrameRecords = 1 << 20
 
-	// handshakeTimeout bounds how long an idle pre-handshake connection
-	// may hold a goroutine.
-	handshakeTimeout = 10 * time.Second
+	// StreamHandshakeTimeout bounds how long an idle pre-handshake
+	// connection may hold a goroutine.
+	StreamHandshakeTimeout = 10 * time.Second
 
 	// egressBatch is the writer's maximum records per frame.
 	egressBatch = 4096
@@ -55,19 +56,19 @@ const (
 // serveStreamConn handles one data-plane connection end to end.
 func (srv *Server) serveStreamConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	flags, id, err := readHandshake(conn)
+	conn.SetReadDeadline(time.Now().Add(StreamHandshakeTimeout))
+	flags, id, err := ReadStreamHandshake(conn)
 	if err != nil {
-		writeReject(conn, err)
+		WriteStreamReject(conn, err)
 		return
 	}
 	sess, err := srv.mgr.Get(id)
 	if err != nil {
-		writeReject(conn, err)
+		WriteStreamReject(conn, err)
 		return
 	}
 	if flags&(StreamFlagInject|StreamFlagSubscribe) == 0 {
-		writeReject(conn, fmt.Errorf("server: handshake requests neither inject nor subscribe"))
+		WriteStreamReject(conn, fmt.Errorf("server: handshake requests neither inject nor subscribe"))
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -79,7 +80,7 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 		sub = sess.sink.subscribe()
 		defer sess.sink.unsubscribe(sub)
 	}
-	if _, err := conn.Write([]byte(streamOK)); err != nil {
+	if err := WriteStreamOK(conn); err != nil {
 		return
 	}
 
@@ -92,7 +93,10 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 	go func() {
 		defer srv.wg.Done()
 		defer close(readerDone)
-		violation = readIngest(conn, sess, flags&StreamFlagInject != 0)
+		// A peer that merely stops — half-close or broken connection —
+		// keeps its egress; one that breaks the protocol forfeits it.
+		err := ReadInjectFrames(conn, flags&StreamFlagInject != 0, sess.source.Inject)
+		violation = errors.Is(err, ErrStreamProtocol)
 	}()
 
 	if sub == nil {
@@ -118,7 +122,7 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 			cw.CloseWrite()
 		}
-		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+		conn.SetReadDeadline(time.Now().Add(StreamHandshakeTimeout))
 		<-readerDone
 		return
 	case <-readerDone:
@@ -134,28 +138,16 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 	}
 }
 
-// ReadStreamHandshake parses a client hello from a stream-plane
-// connection. It is exported for the cluster coordinator's stream
-// proxy, which terminates the same protocol and forwards frames to the
-// session's current owner node.
-func ReadStreamHandshake(r io.Reader) (flags byte, id string, err error) {
-	return readHandshake(r)
-}
-
 // WriteStreamOK acknowledges a stream handshake.
 func WriteStreamOK(w io.Writer) error {
 	_, err := w.Write([]byte(streamOK))
 	return err
 }
 
-// WriteStreamReject sends a CERR reply; the caller closes the
-// connection after.
-func WriteStreamReject(w io.Writer, err error) {
-	writeReject(w, err)
-}
-
-// readHandshake parses the client hello.
-func readHandshake(r io.Reader) (flags byte, id string, err error) {
+// ReadStreamHandshake parses the client hello. It, WriteStreamOK,
+// WriteStreamReject and ReadInjectFrames are exported for the cluster
+// coordinator's stream proxy, which terminates the same protocol.
+func ReadStreamHandshake(r io.Reader) (flags byte, id string, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, "", fmt.Errorf("server: handshake read: %w", err)
@@ -178,8 +170,9 @@ func readHandshake(r io.Reader) (flags byte, id string, err error) {
 	return flags, string(idBuf), nil
 }
 
-// writeReject sends a CERR reply; the connection closes after.
-func writeReject(w io.Writer, err error) {
+// WriteStreamReject sends a CERR reply; the caller closes the
+// connection after.
+func WriteStreamReject(w io.Writer, err error) {
 	msg := err.Error()
 	if len(msg) > 1<<15 {
 		msg = msg[:1<<15]
@@ -191,24 +184,37 @@ func writeReject(w io.Writer, err error) {
 	w.Write(buf)
 }
 
-// readIngest consumes frames until EOF or error, reporting whether the
-// peer violated the protocol (an oversized frame, or a non-empty frame
-// from a subscribe-only peer — violations forfeit the egress stream,
-// while a clean half-close keeps it flowing).
-func readIngest(r io.Reader, sess *Session, inject bool) (violation bool) {
+// ErrStreamProtocol is ReadInjectFrames' error for a peer that broke
+// the frame protocol, as opposed to one that merely stopped.
+var ErrStreamProtocol = errors.New("server: stream protocol violation")
+
+// ReadInjectFrames consumes a client's frames, handing each batch of
+// records to deliver (which must not keep the slice), until the stream
+// ends. It returns nil for a clean EOF at a frame boundary (the peer
+// half-closed, or never wrote), ErrStreamProtocol for an oversized
+// frame or a non-empty frame from a subscribe-only peer, and the read
+// error for a stream that broke off. The daemon and the coordinator's
+// stream proxy both read untrusted client bytes through it.
+func ReadInjectFrames(r io.Reader, inject bool, deliver func([]spikeio.Event)) error {
 	var lenBuf [4]byte
 	recBuf := make([]byte, egressBatch*spikeio.RecordSize)
 	events := make([]spikeio.Event, 0, egressBatch)
 	for {
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return false // EOF: peer finished (or broke) the stream
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
 		count := binary.LittleEndian.Uint32(lenBuf[:])
 		if count == 0 {
 			continue // keepalive
 		}
-		if count > maxFrameRecords || !inject {
-			return true
+		if count > maxFrameRecords {
+			return fmt.Errorf("%w: frame of %d records exceeds limit", ErrStreamProtocol, count)
+		}
+		if !inject {
+			return fmt.Errorf("%w: records from a subscribe-only peer", ErrStreamProtocol)
 		}
 		remaining := int(count)
 		for remaining > 0 {
@@ -218,13 +224,13 @@ func readIngest(r io.Reader, sess *Session, inject bool) (violation bool) {
 			}
 			chunk := recBuf[:n*spikeio.RecordSize]
 			if _, err := io.ReadFull(r, chunk); err != nil {
-				return false
+				return err
 			}
 			events = events[:0]
 			for i := 0; i < n; i++ {
 				events = append(events, spikeio.DecodeRecord(chunk[i*spikeio.RecordSize:]))
 			}
-			sess.source.Inject(events)
+			deliver(events)
 			remaining -= n
 		}
 	}

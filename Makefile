@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke fuzz-smoke bench bench-transport bench-kernel bench-admit bench-batch bench-reshape bench-scenario telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
+.PHONY: build test race vet check bench-smoke fuzz-smoke telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench/ is a module of its own that `go build ./...` and `go test
-# ./...` at the root never compile, yet it imports the packages here:
-# vet it and run its smoke test (tiny sizes, ~3 s) so a change that
-# breaks the benchmark's build or its golden hashes fails the gate.
+# bench/ is the repository's one performance benchmark (`bash
+# bench/run.sh`; BENCHMARK.json lists its workloads and metrics). It is
+# a module of its own that `go build ./...` and `go test ./...` at the
+# root never compile, yet it imports the packages here: vet it and run
+# its smoke test (tiny sizes, ~3 s) so a change that breaks the
+# benchmark's build or its golden hashes fails the gate.
 bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
@@ -42,52 +44,6 @@ fuzz-smoke:
 
 check: build vet test race bench-smoke fuzz-smoke
 
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate BENCH_transport.json, the per-transport Network-phase
-# throughput record (shmem must stay >= mpi on this workload).
-bench-transport:
-	BENCH_TRANSPORT_OUT=BENCH_transport.json $(GO) test -run TestTransportBenchArtifact -count=1 -v .
-
-# Regenerate BENCH_kernel.json, the Synapse-phase throughput record:
-# the bit-parallel kernel must stay >= 1.5x the scalar reference on the
-# dense deterministic workload.
-bench-kernel:
-	BENCH_KERNEL_OUT=BENCH_kernel.json $(GO) test -run TestKernelBenchArtifact -count=1 -v .
-
-# Regenerate BENCH_admit.json, the model-cache admission record: cached
-# admission must stay >= 10x faster than a cold PCC compile, N sessions
-# sharing one image must stay cheaper than N private copies, and the
-# image path must produce bit-identical traces on all three transports.
-bench-admit:
-	BENCH_ADMIT_OUT=BENCH_admit.json $(GO) test -run TestAdmitBenchArtifact -count=1 -v .
-
-# Regenerate BENCH_batch.json, the multi-session serving record: the
-# batched engine must stay >= 2x aggregate ticks/s over independent
-# loops at 8 resident sessions of one model, with every lane's trace and
-# final checkpoint bit-identical to a solo run.
-bench-batch:
-	BENCH_BATCH_OUT=BENCH_batch.json $(GO) test -run TestBatchBenchArtifact -count=1 -v .
-
-# Regenerate BENCH_reshape.json, the elastic-repartitioning record: on a
-# skewed placement of a compute-dominated synthetic workload, the
-# telemetry-driven reshape plan must cut the measured Compute imbalance
-# at least 2x, and the rebalanced chunk's throughput must recover.
-bench-reshape:
-	BENCH_RESHAPE_OUT=BENCH_reshape.json $(GO) test -run TestReshapeBenchArtifact -count=1 -v .
-
-# Regenerate BENCH_scenario.json, the interactive serving record: the
-# bandit scenario driven closed-loop (inject -> step -> decode over the
-# stream plane) at 1/4/16 concurrent sessions, recording episodes/s and
-# p50/p99 inject->decision round trips.
-bench-scenario:
-	BENCH_SCENARIO_OUT=BENCH_scenario.json $(GO) test -run TestScenarioBenchArtifact -count=1 -v .
-
-# End-to-end telemetry smoke: run a small CoCoMac model with every
-# export sink enabled, then validate the Prometheus exposition, the JSON
-# snapshot, and the Chrome trace with the in-repo checker. Artifacts
-# land in $(SMOKE_DIR) (CI uploads them).
 # Chaos smoke: run the CoCoMac workload under every fault class on the
 # CLI — survivable classes (retried drop, duplication, delay, stall)
 # must complete, the crash class must fail with a clean error naming the
@@ -149,6 +105,10 @@ scenario-smoke:
 	$(GO) build -o $(SCENARIO_DIR)/compassd ./cmd/compassd
 	$(GO) run ./cmd/scenariosmoke -compassd $(SCENARIO_DIR)/compassd -dir $(SCENARIO_DIR)
 
+# End-to-end telemetry smoke: run a small CoCoMac model with every
+# export sink enabled, then validate the Prometheus exposition, the JSON
+# snapshot, and the Chrome trace with the in-repo checker. Artifacts
+# land in $(SMOKE_DIR) (CI uploads them).
 SMOKE_DIR ?= telemetry-smoke
 telemetry-smoke:
 	mkdir -p $(SMOKE_DIR)

@@ -7,11 +7,12 @@
 //
 //	scenario list
 //	scenario run -scenario bandit -addr 127.0.0.1:7180 -episodes 3 -seed 7
-//	scenario bench -scenario charrec -addr 127.0.0.1:7180 -concurrency 1,4,16 -out BENCH_scenario.json
 //
 // `run -verify` additionally replays the recorded inject stream through
 // compass.Run in-process and fails unless the live episode trajectory
-// is reproduced bit-for-bit (the determinism pin).
+// is reproduced bit-for-bit (the determinism pin). Serving latency is
+// measured by the repository benchmark (bench/run.sh, workloads
+// serve-loop and cluster-loop), not by this command.
 package main
 
 import (
@@ -19,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/cognitive-sim/compass/internal/compass"
@@ -38,8 +37,6 @@ func main() {
 		err = cmdList(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -57,8 +54,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   scenario list
-  scenario run   -scenario NAME -addr HOST:PORT [-episodes N] [-steps N] [-seed S] [-transport T] [-verify] [-json]
-  scenario bench -scenario NAME -addr HOST:PORT [-episodes N] [-seed S] [-concurrency 1,4,16] [-out FILE]`)
+  scenario run -scenario NAME -addr HOST:PORT [-episodes N] [-steps N] [-seed S] [-transport T] [-verify] [-json]`)
 }
 
 func cmdList(args []string) error {
@@ -153,65 +149,4 @@ func printResult(res *scenario.Result) {
 		time.Duration(res.RTTPercentile(0.99)*float64(time.Second)).Round(time.Microsecond))
 	fmt.Printf("  inject: %d records, sha256 %s\n", len(res.Injected), res.InjectHash)
 	fmt.Printf("  session: %s\n", res.SessionID)
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var (
-		name     = fs.String("scenario", "bandit", "registered scenario name")
-		addr     = fs.String("addr", "127.0.0.1:7180", "daemon or coordinator HTTP address")
-		episodes = fs.Int("episodes", 0, "episodes per session (0 = scenario default)")
-		steps    = fs.Int("steps", 0, "steps per episode (0 = scenario default)")
-		seed     = fs.Uint64("seed", 1, "base seed (session i uses seed+i)")
-		levels   = fs.String("concurrency", "1,4,16", "comma-separated concurrent session counts")
-		out      = fs.String("out", "", "write the report JSON to this file (default stdout only)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	conc, err := parseLevels(*levels)
-	if err != nil {
-		return err
-	}
-	report, err := scenario.RunBench(*addr, scenario.BenchOptions{
-		Scenario:    *name,
-		Seed:        *seed,
-		Episodes:    *episodes,
-		Steps:       *steps,
-		Concurrency: conc,
-	})
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(raw))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "scenario: wrote %s\n", *out)
-	}
-	return nil
-}
-
-func parseLevels(s string) ([]int, error) {
-	var levels []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bench: bad concurrency level %q", part)
-		}
-		levels = append(levels, n)
-	}
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("bench: no concurrency levels")
-	}
-	return levels, nil
 }

@@ -21,8 +21,8 @@ func TestAllRegistryIDsUnique(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 14 {
-		t.Fatalf("registry has %d experiments, want 14", len(seen))
+	if len(seen) != 12 {
+		t.Fatalf("registry has %d experiments, want 12", len(seen))
 	}
 }
 

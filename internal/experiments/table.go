@@ -169,8 +169,6 @@ func All() []Experiment {
 		{"ablation", "Communication design-choice ablations", Ablation},
 		{"power", "TrueNorth hardware power estimation", Power},
 		{"c2", "Compass vs the C2 baseline simulator", C2Comparison},
-		{"kernel", "Bit-parallel Synapse kernel vs scalar reference", KernelComparison},
-		{"admit", "Model-cache admission: cold vs cached", AdmitComparison},
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	sim "github.com/cognitive-sim/compass/internal/compass"
+	"github.com/cognitive-sim/compass/internal/experiments"
+	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
 func uniformLoads(ranks, coresPerRank int, events uint64) []Load {
@@ -131,6 +133,61 @@ func TestComputeErrors(t *testing.T) {
 	}
 	if _, err := Compute([]int{0, 0}, uniformLoads(1, 2, 1), 3); err == nil {
 		t.Error("more ranks than cores accepted")
+	}
+}
+
+// TestReshapeCutsMeasuredImbalance closes the loop on a real run: a
+// chunk on a skewed placement (48 of 64 cores on rank 0) must trip the
+// automatic policy, and the chunk resumed from its checkpoint on the
+// planned placement must measure at most half the Compute imbalance
+// (max/mean synaptic events per occupied rank — a count, not a timing).
+func TestReshapeCutsMeasuredImbalance(t *testing.T) {
+	const (
+		nCores = 64
+		ranks  = 4
+		chunk  = 100
+	)
+	m, err := experiments.SyntheticModel(ranks, nCores/ranks, 0.8, 30, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := truenorth.NewImage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew := make([]int, nCores)
+	for i := 48; i < nCores; i++ {
+		skew[i] = 1 + (i-48)%(ranks-1)
+	}
+	cfg := sim.Config{
+		Ranks: ranks, ThreadsPerRank: 2, Transport: sim.TransportShmem,
+		RankOf: skew, ReturnState: true,
+	}
+	before, err := sim.RunImage(img, cfg, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imbBefore := before.LoadImbalance()
+	if !(Policy{Threshold: 1.5, Interval: 1}).ShouldReshape(imbBefore, 1) {
+		t.Fatalf("policy did not fire on skewed chunk (Compute %.2f)", imbBefore.Compute)
+	}
+	plan, err := Compute(cfg.Placement(nCores), LoadsFromStats(before), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := cfg.Reshape(img, plan.ReshapePlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.StartFrom = before.Final
+	after, err := sim.RunImage(img, run, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imbAfter := after.LoadImbalance()
+	if imbBefore.Compute < 2*imbAfter.Compute {
+		t.Errorf("Compute imbalance %.2f -> %.2f (%d cores moved), want at least a 2x cut",
+			imbBefore.Compute, imbAfter.Compute, plan.MovedCores)
 	}
 }
 

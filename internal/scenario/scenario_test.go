@@ -164,6 +164,12 @@ func TestRTTAndScenarioTelemetry(t *testing.T) {
 	if res.Info.StreamRTT.P50Seconds <= 0 {
 		t.Fatalf("stream RTT p50 %v", res.Info.StreamRTT.P50Seconds)
 	}
+	if len(res.StepRTTs) != res.Episodes*res.Steps {
+		t.Fatalf("%d client RTT samples for %d steps", len(res.StepRTTs), res.Episodes*res.Steps)
+	}
+	if p50, p99 := res.RTTPercentile(0.50), res.RTTPercentile(0.99); p50 <= 0 || p99 < p50 {
+		t.Fatalf("client RTT percentiles p50=%g p99=%g", p50, p99)
+	}
 	snap := srv.Manager().MetricsSnapshot()
 	lbl := telemetry.Label{Key: "scenario", Value: "charrec"}
 	if got := snap.Value("compassd_scenario_episodes_total", lbl); got != float64(res.Episodes) {

@@ -1,10 +1,11 @@
 # Developer entry points. `make check` is the pre-commit gate; `race`
 # exercises the persistent worker pool and the shmem buffer swapping
-# under the race detector on every change.
+# under the race detector on every change. `make e2e` is the one
+# end-to-end harness: the checks that need real compassd processes.
 
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke fuzz-smoke telemetry-smoke chaos-smoke race-transport serve-smoke cluster-smoke scenario-smoke
+.PHONY: build test race vet check bench-smoke fuzz-smoke e2e
 
 build:
 	$(GO) build ./...
@@ -14,10 +15,11 @@ test:
 
 # Race-check the simulator core and both communication runtimes: the
 # worker pool, the MPI mailboxes, the PGAS windows, the shmem zero-copy
-# slice swapping, and the atomic spike-delivery bitmask all run under
-# -race here.
+# slice swapping, the atomic spike-delivery bitmask, and the fault
+# injection and abort paths (delayed async sends, barrier aborts,
+# receiver-side dedup) all run under -race here.
 race:
-	$(GO) test -race ./internal/truenorth/... ./internal/compass/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/reshape/... ./internal/spikecode/... ./internal/scenario/...
+	$(GO) test -race ./internal/truenorth/... ./internal/compass/... ./internal/faults/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/reshape/... ./internal/spikecode/... ./internal/scenario/...
 
 vet:
 	$(GO) vet ./...
@@ -44,76 +46,15 @@ fuzz-smoke:
 
 check: build vet test race bench-smoke fuzz-smoke
 
-# Chaos smoke: run the CoCoMac workload under every fault class on the
-# CLI — survivable classes (retried drop, duplication, delay, stall)
-# must complete, the crash class must fail with a clean error naming the
-# rank and the tick — then the in-process chaos acceptance tests: the
-# full transport x fault-class matrix with bit-identical-output checks,
-# and the rank-failure propagation (no-hang) guards.
-chaos-smoke:
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -faults "drop"
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -faults "dup"
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -faults "delay:k=2"
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -faults "stall:rank=1,k=1"
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -transport pgas -faults "drop;dup"
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -transport shmem -faults "drop;dup"
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 -faults "crash:rank=1,tick=5"; \
-		test $$? -ne 0 || { echo "chaos-smoke: injected crash did not fail the run"; exit 1; }
-	$(GO) test -run 'TestChaos|TestRankFailure|TestDropPast|TestFailedRun|TestSurvivable' -count=1 ./internal/compass/
-
-# Race-check the fault-injection and failure-propagation paths: the
-# chaos matrix, the abort broadcasts, and the faults package itself.
-race-transport:
-	$(GO) test -race -count=1 ./internal/faults/
-	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestRankFailure|TestDropPast|TestFailedRun|TestSurvivable|TestCrossTransport|TestShmemAbort|TestRankError|TestAborted|TestErrorAborts' \
-		./internal/compass/ ./internal/mpi/ ./internal/pgas/
-
-# End-to-end serving smoke: build compassd, then drive it with the
-# servesmoke client — session create/pause/resume/checkpoint over HTTP,
-# live spike injection and egress over the stream plane, SIGTERM drain
-# to checkpoint files, and a successor daemon resuming from them. All
-# output (both daemons + client) lands in $(SERVE_DIR)/serve-smoke.log.
-SERVE_DIR ?= serve-smoke
-serve-smoke:
-	mkdir -p $(SERVE_DIR)
-	$(GO) build -o $(SERVE_DIR)/compassd ./cmd/compassd
-	$(GO) run ./cmd/servesmoke -compassd $(SERVE_DIR)/compassd -dir $(SERVE_DIR)
-
-# Cluster serving smoke: build compassd, then spawn a coordinator plus
-# three nodes and run the clustersmoke drills — live migration between
-# daemons and SIGKILL heartbeat-lapse failover, each verified
-# byte-identical (spike trace + final checkpoint) against a solo
-# reference run. All process output lands in
-# $(CLUSTER_DIR)/cluster-smoke.log.
-CLUSTER_DIR ?= cluster-smoke
-cluster-smoke:
-	mkdir -p $(CLUSTER_DIR)
-	$(GO) build -o $(CLUSTER_DIR)/compassd ./cmd/compassd
-	$(GO) run ./cmd/clustersmoke -compassd $(CLUSTER_DIR)/compassd -dir $(CLUSTER_DIR)
-
-# Scenario smoke: build compassd, run every registered closed-loop
-# scenario (bandit, stroop, charrec) against it through the episode
-# engine, check the per-scenario counters and stream-RTT histogram on
-# /metrics, pin determinism by replaying one run through compass.Run,
-# then re-run a scenario through a coordinator + node and require a
-# bit-identical inject stream and score. Output lands in
-# $(SCENARIO_DIR)/scenario-smoke.log.
-SCENARIO_DIR ?= scenario-smoke
-scenario-smoke:
-	mkdir -p $(SCENARIO_DIR)
-	$(GO) build -o $(SCENARIO_DIR)/compassd ./cmd/compassd
-	$(GO) run ./cmd/scenariosmoke -compassd $(SCENARIO_DIR)/compassd -dir $(SCENARIO_DIR)
-
-# End-to-end telemetry smoke: run a small CoCoMac model with every
-# export sink enabled, then validate the Prometheus exposition, the JSON
-# snapshot, and the Chrome trace with the in-repo checker. Artifacts
-# land in $(SMOKE_DIR) (CI uploads them).
-SMOKE_DIR ?= telemetry-smoke
-telemetry-smoke:
-	mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/compass -cocomac-cores 128 -ranks 3 -threads 2 -ticks 20 \
-		-metrics $(SMOKE_DIR)/run -trace-out $(SMOKE_DIR)/trace.json \
-		-stats-json $(SMOKE_DIR)/stats.json
-	$(GO) run ./cmd/telemetrycheck -metrics $(SMOKE_DIR)/run.prom \
-		-snapshot $(SMOKE_DIR)/run.json -trace $(SMOKE_DIR)/trace.json
+# End-to-end harness: build compassd, then run cmd/e2e against it. It
+# starts a solo daemon and a coordinator plus three nodes and runs four
+# drills that need real processes: SIGKILL failover and live migration
+# (each byte-identical to a solo reference run), a scenario through the
+# coordinator (identical to its solo run), and SIGTERM drain to a
+# checkpoint file that a successor daemon resumes. The harness's and
+# every daemon's output land in $(E2E_DIR)/e2e.log.
+E2E_DIR ?= e2e
+e2e:
+	mkdir -p $(E2E_DIR)
+	$(GO) build -o $(E2E_DIR)/compassd ./cmd/compassd
+	$(GO) run ./cmd/e2e -compassd $(E2E_DIR)/compassd -dir $(E2E_DIR)

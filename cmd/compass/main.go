@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"github.com/cognitive-sim/compass/internal/cocomac"
@@ -73,9 +74,15 @@ func main() {
 		faultSpec: *faultSpec, faultSeed: *faultSeed,
 		compileCache: *compileCache,
 	}); err != nil {
-		fmt.Fprintln(os.Stderr, "compass:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the stderr line for a failed run. Errors from the engine
+// already carry the "compass: " prefix, so it is added only once.
+func errorLine(err error) string {
+	return "compass: " + strings.TrimPrefix(err.Error(), "compass: ")
 }
 
 // runArgs bundles the command's flags.

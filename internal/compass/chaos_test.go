@@ -386,8 +386,8 @@ func TestMPITagBleedAcrossModulus(t *testing.T) {
 
 // TestChaosCoCoMac runs the paper's CoCoMac workload under a compound
 // survivable fault spec on every transport and requires the spike trace
-// to match the fault-free baseline exactly — the chaos-smoke acceptance
-// workload, in-process.
+// to match the fault-free baseline exactly — the CoCoMac chaos workload,
+// in-process.
 func TestChaosCoCoMac(t *testing.T) {
 	const ticks = 10
 	net := cocomac.Generate(7)

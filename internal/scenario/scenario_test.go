@@ -178,6 +178,9 @@ func TestRTTAndScenarioTelemetry(t *testing.T) {
 	if got := snap.Value("compassd_scenario_steps_total", lbl); got != float64(res.Episodes*res.Steps) {
 		t.Fatalf("scenario steps counter %v, want %d", got, res.Episodes*res.Steps)
 	}
+	if got := snap.Value("compassd_scenario_reward_total", lbl); got != res.Score.Reward {
+		t.Fatalf("scenario reward gauge %v, want %v", got, res.Score.Reward)
+	}
 	sampled := false
 	for _, m := range snap.Find("compassd_stream_rtt_seconds") {
 		if m.Count > 0 {

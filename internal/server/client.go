@@ -167,8 +167,9 @@ func (c *Client) Model(hash string) ([]byte, error) {
 }
 
 // StreamClient is a minimal data-plane client: it performs the CSTR
-// handshake and exchanges record frames. Tests and cmd/servesmoke use
-// it; it also documents the protocol from the client's side.
+// handshake and exchanges record frames. Tests, cmd/e2e and the
+// scenario engine use it; it also documents the protocol from the
+// client's side.
 type StreamClient struct {
 	conn net.Conn
 	br   *bufio.Reader

@@ -536,53 +536,67 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testModel(4, 21)
-	cfg := sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: sim.TransportShmem}
-	s, err := srv.Manager().Create(CreateParams{Name: "drainee", Model: m, Cfg: cfg, Ticks: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
+	// Sessions on two transports run side by side; every one must drain.
+	type drainee struct {
+		s   *Session
+		cfg sim.Config
 	}
-	// Let at least one chunk complete so the drained checkpoint is
+	var sessions []drainee
+	for _, tr := range []sim.Transport{sim.TransportShmem, sim.TransportMPI} {
+		cfg := sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: tr}
+		s, err := srv.Manager().Create(CreateParams{Name: "drainee-" + tr.String(), Model: m, Cfg: cfg, Ticks: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, drainee{s, cfg})
+	}
+	// Let at least one chunk complete so each drained checkpoint is
 	// mid-run, not the initial snapshot.
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Info().TicksDone == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session made no progress")
+	for _, d := range sessions {
+		for d.s.Info().TicksDone == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %s made no progress", d.s.ID)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := srv.Shutdown(testContext(t, 30*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.State(); st != StateDrained {
-		t.Fatalf("state %s after shutdown, want drained", st)
-	}
 
-	path := filepath.Join(dir, s.ID+".ckpt")
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("drained checkpoint file: %v", err)
-	}
-	cp, err := coreobject.ReadCheckpoint(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Tick == 0 || cp.Tick%10 != 0 {
-		t.Fatalf("drained checkpoint at tick %d, want a positive chunk boundary", cp.Tick)
-	}
+	for _, d := range sessions {
+		s, cfg := d.s, d.cfg
+		if st := s.State(); st != StateDrained {
+			t.Fatalf("%s: state %s after shutdown, want drained", s.ID, st)
+		}
+		path := filepath.Join(dir, s.ID+".ckpt")
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatalf("drained checkpoint file: %v", err)
+		}
+		cp, err := coreobject.ReadCheckpoint(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Tick == 0 || cp.Tick%10 != 0 {
+			t.Fatalf("%s: drained checkpoint at tick %d, want a positive chunk boundary", s.ID, cp.Tick)
+		}
 
-	// Resume in a fresh manager (a successor daemon) for 30 more ticks.
-	mgr2 := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
-	resumed, err := mgr2.Create(CreateParams{Model: m, Cfg: cfg, Ticks: 30, StartFrom: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.WaitState(60*time.Second, func(st State) bool { return st == StateDone }) {
-		t.Fatalf("resumed state %s, want done (err %v)", resumed.State(), resumed.Err())
-	}
-	want := refFinal(t, m, int(cp.Tick)+30)
-	if !bytes.Equal(ckptBytes(t, resumed.Checkpoint()), ckptBytes(t, want)) {
-		t.Fatal("resumed-from-file final state differs from uninterrupted run")
+		// Resume in a fresh manager (a successor daemon) for 30 more ticks.
+		mgr2 := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+		resumed, err := mgr2.Create(CreateParams{Model: m, Cfg: cfg, Ticks: 30, StartFrom: cp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resumed.WaitState(60*time.Second, func(st State) bool { return st == StateDone }) {
+			t.Fatalf("%s: resumed state %s, want done (err %v)", s.ID, resumed.State(), resumed.Err())
+		}
+		want := refFinal(t, m, int(cp.Tick)+30)
+		if !bytes.Equal(ckptBytes(t, resumed.Checkpoint()), ckptBytes(t, want)) {
+			t.Fatalf("%s: resumed-from-file final state differs from uninterrupted run", s.ID)
+		}
 	}
 }
 
@@ -698,8 +712,10 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(text), "compassd_sessions_created_total") {
-		t.Fatalf("metrics missing server counters:\n%s", text)
+	for _, want := range []string{"compassd_sessions_created_total", `session="` + info.ID + `"`} {
+		if !strings.Contains(string(text), want) {
+			t.Fatalf("metrics missing %s:\n%s", want, text)
+		}
 	}
 
 	// The per-session routes' error paths and DELETE are held to their

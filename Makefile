@@ -1,11 +1,13 @@
 # Developer entry points. `make check` is the pre-commit gate; `race`
-# exercises the persistent worker pool and the shmem buffer swapping
-# under the race detector on every change. `make e2e` is the one
-# end-to-end harness: the checks that need real compassd processes.
+# exercises the per-tick rendezvous, the persistent worker pool and the
+# shmem buffer swapping under the race detector on every change, and
+# `stress` repeats the runtimes' tests on one and two CPUs. `make e2e`
+# is the one end-to-end harness: the checks that need real compassd
+# processes.
 
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke fuzz-smoke e2e
+.PHONY: build test race stress vet check bench-smoke fuzz-smoke e2e
 
 build:
 	$(GO) build ./...
@@ -14,12 +16,23 @@ test:
 	$(GO) test ./...
 
 # Race-check the simulator core and both communication runtimes: the
-# worker pool, the MPI mailboxes, the PGAS windows, the shmem zero-copy
-# slice swapping, the atomic spike-delivery bitmask, and the fault
-# injection and abort paths (delayed async sends, barrier aborts,
-# receiver-side dedup) all run under -race here.
+# spin-then-park rendezvous behind every per-tick wait (its last-arriver
+# combine step, and Abort releasing spinning and parked waiters), the
+# worker pool's fork/join, the MPI mailboxes, the PGAS windows, the
+# shmem zero-copy slice swapping, the atomic spike-delivery bitmask,
+# and the fault injection and abort paths (delayed async sends, barrier
+# aborts, receiver-side dedup) all run under -race here.
 race:
-	$(GO) test -race ./internal/truenorth/... ./internal/compass/... ./internal/faults/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/reshape/... ./internal/spikecode/... ./internal/scenario/...
+	$(GO) test -race ./internal/workpool/... ./internal/truenorth/... ./internal/compass/... ./internal/faults/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/reshape/... ./internal/spikecode/... ./internal/scenario/...
+
+# The rendezvous polls with runtime.Gosched before it parks: with one
+# CPU a waiter must still let the peer it waits for run, and with two
+# the ranks and workers outnumber the CPUs. Repeat the runtimes' tests
+# under both (well under a minute).
+STRESS_PKGS = ./internal/workpool/... ./internal/mpi/... ./internal/pgas/... ./internal/compass/...
+stress:
+	GOMAXPROCS=1 $(GO) test -count=3 $(STRESS_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=3 $(STRESS_PKGS)
 
 vet:
 	$(GO) vet ./...
@@ -44,7 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadStreamHandshake$$' -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInjectFrames$$' -fuzztime 5s ./internal/server/
 
-check: build vet test race bench-smoke fuzz-smoke
+check: build vet test race stress bench-smoke fuzz-smoke
 
 # End-to-end harness: build compassd, then run cmd/e2e against it. It
 # starts a solo daemon and a coordinator plus three nodes and runs four

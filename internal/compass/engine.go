@@ -197,9 +197,10 @@ type laneRank struct {
 
 	// cores are the rank's owned core groups (all lanes of each core,
 	// contiguous), ascending ID; threadCores partitions them round-robin
-	// over threads.
+	// over threads. enabled counts their enabled neurons.
 	cores       []*truenorth.CoreLanes
 	threadCores [][]*truenorth.CoreLanes
+	enabled     uint64
 
 	// localCore resolves spike targets owned by this rank: a dense slice
 	// keyed by CoreID (nil entries for cores on other ranks).
@@ -332,6 +333,7 @@ func newLaneRank(r int, img *truenorth.Image, cfg Config, lanes []BatchLane, pla
 		if cl.Lane(0).KernelActive() {
 			kernelCores++
 		}
+		lr.enabled += uint64(img.EnabledNeurons(i))
 		lr.cores = append(lr.cores, cl)
 		lr.localCore[i] = cl
 	}
@@ -835,7 +837,6 @@ func (lr *laneRank) laneRankStats(s int) RankStats {
 			rs.PeerRanks++
 		}
 	}
-	enabled := uint64(0)
 	for _, cl := range lr.cores {
 		core := cl.Lane(s)
 		a, syn, f := core.Stats()
@@ -843,19 +844,13 @@ func (lr *laneRank) laneRankStats(s int) RankStats {
 		rs.SynapticEvents += syn
 		rs.Firings += f
 		rs.DroppedInputs += core.DroppedInjects()
-		cfg := cl.Config()
-		for j := range cfg.Neurons {
-			if cfg.Neurons[j].Enabled {
-				enabled++
-			}
-		}
 	}
 	for tid := 0; tid < lr.threads; tid++ {
 		rs.QuiescentCoreTicks += lr.threadQuiescent[tid][s]
 		rs.SynapseSkips += lr.threadSynSkips[tid][s]
 	}
 	// Every enabled neuron is updated once per tick.
-	rs.NeuronUpdates = enabled * uint64(lr.ticksRun)
+	rs.NeuronUpdates = lr.enabled * uint64(lr.ticksRun)
 	return rs
 }
 

@@ -122,3 +122,50 @@ func TestLoadImbalanceEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// TestNeuronUpdatesCountEnabledNeurons: every enabled neuron is updated
+// once per tick, on the rank that owns its core, in every lane; disabled
+// neurons are not counted.
+func TestNeuronUpdatesCountEnabledNeurons(t *testing.T) {
+	m := randomModel(6, 11)
+	want := make([]uint64, len(m.Cores))
+	for i, cfg := range m.Cores {
+		for j := range cfg.Neurons {
+			if (i+j)%3 == 0 {
+				cfg.Neurons[j].Enabled = false
+			}
+			if cfg.Neurons[j].Enabled {
+				want[i]++
+			}
+		}
+	}
+	img, err := truenorth.NewImage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 7
+	cfg := Config{Ranks: 3, ThreadsPerRank: 2}
+	res, err := RunBatch(img, cfg, ticks, []BatchLane{{}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement := cfg.placement(len(m.Cores))
+	for s, stats := range res.Lanes {
+		var total uint64
+		for _, rs := range stats.PerRank {
+			var rank uint64
+			for i, r := range placement {
+				if r == rs.Rank {
+					rank += want[i] * ticks
+				}
+			}
+			if rs.NeuronUpdates != rank {
+				t.Errorf("lane %d rank %d: %d neuron updates, want %d", s, rs.Rank, rs.NeuronUpdates, rank)
+			}
+			total += rank
+		}
+		if stats.NeuronUpdates != total {
+			t.Errorf("lane %d: %d neuron updates, want %d", s, stats.NeuronUpdates, total)
+		}
+	}
+}

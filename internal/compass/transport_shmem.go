@@ -8,6 +8,7 @@ import (
 
 	"github.com/cognitive-sim/compass/internal/faults"
 	"github.com/cognitive-sim/compass/internal/truenorth"
+	"github.com/cognitive-sim/compass/internal/workpool"
 )
 
 // shmemBackend is the zero-copy in-process transport: ranks share one
@@ -60,7 +61,7 @@ func (b shmemBackend) Run(ranks int, fn func(rank int, ep Endpoint) error) error
 				if !errors.Is(err, errShmemAborted) {
 					b.tel.faultAbort(rank)
 				}
-				s.abort()
+				s.barrier.Abort()
 			}
 			errs[rank] = err
 		}(r)
@@ -85,7 +86,7 @@ type shmemSeg struct {
 	copies  uint32
 }
 
-// shmemSpace is the shared spike window plus a sense-reversing barrier.
+// shmemSpace is the shared spike window plus the tick's rendezvous.
 type shmemSpace struct {
 	size int
 
@@ -93,55 +94,18 @@ type shmemSpace struct {
 	// during epochs of that parity.
 	win [][2][]shmemSeg
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	arrived int
-	gen     uint64
-	aborted bool
+	// barrier closes each epoch; Abort releases every rank in it so one
+	// rank's error cannot deadlock the others.
+	barrier *workpool.Rendezvous
 }
 
 func newShmemSpace(size int) *shmemSpace {
-	s := &shmemSpace{size: size, win: make([][2][]shmemSeg, size)}
+	s := &shmemSpace{size: size, win: make([][2][]shmemSeg, size), barrier: workpool.NewRendezvous(size, nil)}
 	for d := range s.win {
 		s.win[d][0] = make([]shmemSeg, size)
 		s.win[d][1] = make([]shmemSeg, size)
 	}
-	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-// barrier blocks until every rank has entered it, or fails fast if the
-// space was aborted (so one rank's error cannot deadlock the others).
-func (s *shmemSpace) barrier() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted {
-		return errShmemAborted
-	}
-	gen := s.gen
-	s.arrived++
-	if s.arrived == s.size {
-		s.arrived = 0
-		s.gen++
-		s.cond.Broadcast()
-		return nil
-	}
-	for gen == s.gen {
-		s.cond.Wait()
-		if s.aborted {
-			return errShmemAborted
-		}
-	}
-	return nil
-}
-
-// abort marks the space failed and releases every rank blocked in the
-// barrier.
-func (s *shmemSpace) abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // shmemEndpoint is one rank's view of the shared window.
@@ -160,7 +124,7 @@ func (ep *shmemEndpoint) Close() error { return nil }
 
 func (ep *shmemEndpoint) Exchange(t uint64, out *Outbox, d Delivery) error {
 	if err := faultEnter(ep.inj, ep.tel, ep.rank, t); err != nil {
-		ep.s.abort()
+		ep.s.barrier.Abort()
 		return err
 	}
 	threads := d.Threads()
@@ -189,7 +153,7 @@ func (ep *shmemEndpoint) Exchange(t uint64, out *Outbox, d Delivery) error {
 		if injected {
 			plan, err := resolveSend(ep.inj, ep.tel, ep.rank, t, dest)
 			if err != nil {
-				ep.s.abort()
+				ep.s.barrier.Abort()
 				return err
 			}
 			if plan.delay > 0 {
@@ -217,7 +181,7 @@ func (ep *shmemEndpoint) Exchange(t uint64, out *Outbox, d Delivery) error {
 	})
 	localErr := firstErr(errs)
 	if localErr != nil {
-		ep.s.abort()
+		ep.s.barrier.Abort()
 		return localErr
 	}
 
@@ -227,8 +191,8 @@ func (ep *shmemEndpoint) Exchange(t uint64, out *Outbox, d Delivery) error {
 		barrierStart = time.Now()
 	}
 
-	if err := ep.s.barrier(); err != nil {
-		return err
+	if !ep.s.barrier.Wait() {
+		return errShmemAborted
 	}
 
 	var drainStart time.Time
@@ -284,7 +248,7 @@ func (ep *shmemEndpoint) Exchange(t uint64, out *Outbox, d Delivery) error {
 	}
 	ep.epoch++
 	if err := firstErr(errs); err != nil {
-		ep.s.abort()
+		ep.s.barrier.Abort()
 		return err
 	}
 	return nil

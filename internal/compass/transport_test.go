@@ -122,14 +122,14 @@ func TestShmemBuffersReusedAcrossTicks(t *testing.T) {
 // documents and cannot avoid).
 func TestShmemAbortUnblocksBarrier(t *testing.T) {
 	s := newShmemSpace(2)
-	done := make(chan error, 1)
-	go func() { done <- s.barrier() }()
-	s.abort()
-	if err := <-done; err == nil {
-		t.Fatal("aborted barrier returned nil")
+	done := make(chan bool, 1)
+	go func() { done <- s.barrier.Wait() }()
+	s.barrier.Abort()
+	if <-done {
+		t.Fatal("aborted barrier released normally")
 	}
-	if err := s.barrier(); err == nil {
-		t.Fatal("barrier after abort returned nil")
+	if s.barrier.Wait() {
+		t.Fatal("barrier after abort released normally")
 	}
 }
 

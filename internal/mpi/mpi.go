@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"github.com/cognitive-sim/compass/internal/workpool"
 )
 
 // AnySource matches messages from every rank in Recv and Probe.
@@ -58,13 +60,15 @@ type World struct {
 
 	aborted atomic.Bool
 
-	// collective state
-	cmu      sync.Mutex
-	ccond    *sync.Cond
-	cgen     uint64
-	carrived int
-	cvecs    [][]int64
-	cresults [][]int64
+	// collective state: each rank deposits its contribution and combine
+	// step, then meets the others at coll. sums and sumScatter (bound
+	// once) keep the per-tick ReduceScatterSum allocation-free.
+	coll       *workpool.Rendezvous
+	cvecs      [][]int64
+	cresults   [][]int64
+	ccombine   []func(vecs, results [][]int64)
+	sums       []int64
+	sumScatter func(vecs, results [][]int64)
 
 	// traffic accounting
 	msgsSent  atomic.Uint64
@@ -81,13 +85,16 @@ func NewWorld(size int) *World {
 		boxes:    make([]*mailbox, size),
 		cvecs:    make([][]int64, size),
 		cresults: make([][]int64, size),
+		ccombine: make([]func(vecs, results [][]int64), size),
+		sums:     make([]int64, size),
 	}
 	for i := range w.boxes {
 		b := &mailbox{}
 		b.cond = sync.NewCond(&b.mu)
 		w.boxes[i] = b
 	}
-	w.ccond = sync.NewCond(&w.cmu)
+	w.coll = workpool.NewRendezvous(size, w.combine)
+	w.sumScatter = w.reduceScatterSum
 	return w
 }
 
@@ -113,9 +120,7 @@ func (w *World) abort() {
 		b.cond.Broadcast()
 		b.mu.Unlock()
 	}
-	w.cmu.Lock()
-	w.ccond.Broadcast()
-	w.cmu.Unlock()
+	w.coll.Abort()
 }
 
 // Comm is one rank's handle to the world.
@@ -239,36 +244,28 @@ func (c *Comm) PendingMessages() int {
 
 // collective runs one step of the world's generic collective machinery:
 // every rank contributes a vector; when the last rank arrives, combine is
-// called once (under the collective lock) with all contributions, filling
-// the per-rank results; every rank then returns its own result slot.
-// Contribution vectors may be nil for data-free collectives (Barrier).
+// called once with all contributions, filling the per-rank results;
+// every rank then returns its own result slot. Every rank passes the
+// same combine step, and rank 0's runs. Contribution vectors may be nil
+// for data-free collectives (Barrier).
 func (c *Comm) collective(contrib []int64, combine func(vecs, results [][]int64)) ([]int64, error) {
 	w := c.w
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
 	if w.aborted.Load() {
 		return nil, ErrAborted
 	}
-	gen := w.cgen
 	w.cvecs[c.rank] = contrib
-	w.carrived++
-	if w.carrived == w.size {
-		if combine != nil {
-			combine(w.cvecs, w.cresults)
-		}
-		w.carrived = 0
-		w.cgen++
-		w.ccond.Broadcast()
-	} else {
-		for gen == w.cgen {
-			w.ccond.Wait()
-			if w.aborted.Load() {
-				return nil, ErrAborted
-			}
-		}
+	w.ccombine[c.rank] = combine
+	if !w.coll.Wait() {
+		return nil, ErrAborted
 	}
-	res := w.cresults[c.rank]
-	return res, nil
+	return w.cresults[c.rank], nil
+}
+
+// combine is the collective rendezvous's last-arriver step.
+func (w *World) combine() {
+	if f := w.ccombine[0]; f != nil {
+		f(w.cvecs, w.cresults)
+	}
 }
 
 // Barrier blocks until every rank in the world has entered it.
@@ -286,19 +283,23 @@ func (c *Comm) ReduceScatterSum(counts []int64) (int64, error) {
 	if len(counts) != c.w.size {
 		return 0, fmt.Errorf("mpi: ReduceScatterSum vector length %d != world size %d", len(counts), c.w.size)
 	}
-	res, err := c.collective(counts, func(vecs, results [][]int64) {
-		for r := range results {
-			sum := int64(0)
-			for _, v := range vecs {
-				sum += v[r]
-			}
-			results[r] = []int64{sum}
-		}
-	})
+	res, err := c.collective(counts, c.w.sumScatter)
 	if err != nil {
 		return 0, err
 	}
 	return res[0], nil
+}
+
+// reduceScatterSum is ReduceScatterSum's combine step. Each rank reads
+// its result before it can enter the next collective, so sums is reused.
+func (w *World) reduceScatterSum(vecs, results [][]int64) {
+	for r := range results {
+		w.sums[r] = 0
+		for _, v := range vecs {
+			w.sums[r] += v[r]
+		}
+		results[r] = w.sums[r : r+1 : r+1]
+	}
 }
 
 // AllreduceSum returns, at every rank, the element-wise sum of vals over

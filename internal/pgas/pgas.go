@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"github.com/cognitive-sim/compass/internal/workpool"
 )
 
 // ErrAborted is returned from Barrier when another rank failed and the
@@ -40,13 +42,9 @@ type Space struct {
 	// src for dst during epochs of that parity.
 	seg [][2][][]byte
 
-	// barrier state (central sense-reversing barrier). aborted fails the
-	// barrier fast so one rank's error cannot strand its peers.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	arrived int
-	gen     uint64
-	aborted bool
+	// barrier separates the write epoch from the read epoch; its Abort
+	// fails the barrier fast so one rank's error cannot strand its peers.
+	barrier *workpool.Rendezvous
 
 	puts      atomic.Uint64
 	bytesSent atomic.Uint64
@@ -58,14 +56,14 @@ func NewSpace(size int) *Space {
 		panic(fmt.Sprintf("pgas: space size %d < 1", size))
 	}
 	s := &Space{
-		size: size,
-		seg:  make([][2][][]byte, size),
+		size:    size,
+		seg:     make([][2][][]byte, size),
+		barrier: workpool.NewRendezvous(size, nil),
 	}
 	for d := range s.seg {
 		s.seg[d][0] = make([][]byte, size)
 		s.seg[d][1] = make([][]byte, size)
 	}
-	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -129,28 +127,9 @@ func (h *Handle) Put(dst int, data []byte) error {
 // error — Barrier returns ErrAborted instead of blocking, which is what
 // keeps a failing rank from stranding its peers.
 func (h *Handle) Barrier() error {
-	s := h.s
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
+	if !h.s.barrier.Wait() {
 		return ErrAborted
 	}
-	gen := s.gen
-	s.arrived++
-	if s.arrived == s.size {
-		s.arrived = 0
-		s.gen++
-		s.cond.Broadcast()
-	} else {
-		for gen == s.gen {
-			s.cond.Wait()
-			if s.aborted {
-				s.mu.Unlock()
-				return ErrAborted
-			}
-		}
-	}
-	s.mu.Unlock()
 	h.epoch++
 	return nil
 }
@@ -158,12 +137,7 @@ func (h *Handle) Barrier() error {
 // Abort marks the space failed and releases every rank blocked in
 // Barrier with ErrAborted. Run calls it on the first rank error;
 // external supervisors may call it to cancel a run.
-func (s *Space) Abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
+func (s *Space) Abort() { s.barrier.Abort() }
 
 // Drain calls fn once per source rank that deposited data for this rank
 // during the epoch that the last Barrier closed, then clears those

@@ -37,10 +37,12 @@ type Image struct {
 	inputs []InputSpike
 
 	// kernels[i] is core i's prebuilt bit-parallel Synapse kernel (nil
-	// for scalar-path cores); passive[i] caches passiveConfig. Both are
-	// immutable after NewImage and shared by every instantiation.
+	// for scalar-path cores); passive[i] caches passiveConfig; enabled[i]
+	// counts core i's enabled neurons. All are immutable after NewImage
+	// and shared by every instantiation.
 	kernels []*kernel
 	passive []bool
+	enabled []uint16
 
 	// hash is the lazily computed content address (see Hash).
 	hashOnce sync.Once
@@ -70,6 +72,7 @@ func NewImageLimited(m *Model, lim *workpool.Limiter) (*Image, error) {
 		inputs:  m.Inputs,
 		kernels: make([]*kernel, len(m.Cores)),
 		passive: make([]bool, len(m.Cores)),
+		enabled: make([]uint16, len(m.Cores)),
 	}
 	workpool.ForEachLimited(lim, runtime.GOMAXPROCS(0), len(m.Cores), func(i int) {
 		cfg := img.cores[i]
@@ -77,6 +80,11 @@ func NewImageLimited(m *Model, lim *workpool.Limiter) (*Image, error) {
 			img.kernels[i] = buildKernel(cfg)
 		}
 		img.passive[i] = passiveConfig(cfg)
+		for j := range cfg.Neurons {
+			if cfg.Neurons[j].Enabled {
+				img.enabled[i]++
+			}
+		}
 	})
 	return img, nil
 }
@@ -89,6 +97,9 @@ func (img *Image) NumCores() int { return len(img.cores) }
 
 // CoreConfig returns core i's configuration (shared, read-only).
 func (img *Image) CoreConfig(i int) *CoreConfig { return img.cores[i] }
+
+// EnabledNeurons returns how many of core i's neurons are enabled.
+func (img *Image) EnabledNeurons(i int) int { return int(img.enabled[i]) }
 
 // Inputs returns the external stimuli (shared, read-only).
 func (img *Image) Inputs() []InputSpike { return img.inputs }

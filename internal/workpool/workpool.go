@@ -1,6 +1,8 @@
 // Package workpool provides the shared worker-team primitives behind
-// Compass's parallel phases: a persistent Pool of goroutines dispatched
-// once per phase (the simulator's per-rank thread team, mirroring the
+// Compass's parallel phases: a spin-then-park Rendezvous (every
+// per-tick wait: the transports' barriers and collectives and the
+// thread team's fork and join), a persistent Pool of goroutines
+// dispatched once per phase (the per-rank thread team, mirroring the
 // paper's OpenMP threads), a bounded deterministic parallel-for
 // (ForEach) used by the compiler's per-core instantiation, the image
 // builder's kernel construction, and IPFP sweep scaling, and a Limiter
@@ -15,10 +17,87 @@ package workpool
 
 import (
 	"context"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 )
+
+// spinFor bounds how long a Rendezvous waiter polls before it parks:
+// balanced parties meet far sooner than a futex sleep and wake-up. It
+// stays short because a polling goroutine holds its P, which delays the
+// netpoller for serving goroutines.
+const spinFor = 100 * time.Microsecond
+
+// Rendezvous is a reusable barrier for a fixed number of parties: every
+// per-tick wait (the transports' barriers and collectives, the worker
+// team's fork and join). The last arriver of each generation runs the
+// optional onLast (the MPI combine step) before anyone is released, so
+// its writes are visible to every party after Wait. A waiter polls the
+// generation, yielding with runtime.Gosched so a peer sharing its CPU
+// still runs, for at most spinFor, then parks. Abort releases every
+// waiter, polling or parked, and fails every later Wait.
+type Rendezvous struct {
+	parties int32
+	onLast  func()
+	arrived atomic.Int32
+	gen     atomic.Uint64
+	aborted atomic.Bool
+	// mu and cond serve only waiters that outlast the spin.
+	mu   sync.Mutex
+	cond sync.Cond
+}
+
+// NewRendezvous builds a rendezvous for parties parties (onLast may be nil).
+func NewRendezvous(parties int, onLast func()) *Rendezvous {
+	r := &Rendezvous{parties: int32(parties), onLast: onLast}
+	r.cond.L = &r.mu
+	return r
+}
+
+// Wait blocks until every party has arrived in this generation and
+// reports true, or reports false if the rendezvous was aborted first.
+func (r *Rendezvous) Wait() bool {
+	if r.aborted.Load() {
+		return false
+	}
+	gen := r.gen.Load()
+	if r.arrived.Add(1) == r.parties {
+		r.arrived.Store(0)
+		if r.onLast != nil {
+			r.onLast()
+		}
+		r.mu.Lock()
+		r.gen.Store(gen + 1)
+		r.cond.Broadcast()
+		r.mu.Unlock()
+		return true
+	}
+	for start := time.Now(); time.Since(start) < spinFor; {
+		if r.gen.Load() != gen {
+			return true
+		}
+		if r.aborted.Load() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.gen.Load() == gen && !r.aborted.Load() {
+		r.cond.Wait()
+	}
+	return r.gen.Load() != gen
+}
+
+// Abort releases every party waiting now and fails every later Wait.
+func (r *Rendezvous) Abort() {
+	r.mu.Lock()
+	r.aborted.Store(true)
+	r.cond.Broadcast()
+	r.mu.Unlock()
+}
 
 // Pool is a persistent team of goroutines that lives for a whole run,
 // replacing per-phase goroutine spawning. The pool decouples the
@@ -27,18 +106,13 @@ import (
 // atomic counter, so every tid runs exactly once per dispatch whether
 // the pool was granted its full worker complement or had to share a
 // daemon-wide budget (see Limiter). The caller always executes as one
-// worker; workers beyond the first block on their own channel between
-// dispatches.
+// worker. A dispatch is two rendezvous over the workers: start (fork)
+// publishes the phase, end (join) waits for it.
 type Pool struct {
-	threads int
-	work    []chan task
-}
-
-// task is one parallel phase dispatched to every worker.
-type task struct {
-	fn   func(tid int)
-	next *atomic.Int64
-	wg   *sync.WaitGroup
+	threads    int
+	fn         func(tid int)
+	next       atomic.Int64
+	start, end *Rendezvous
 }
 
 // New starts a full-width pool: threads logical threads served by
@@ -61,39 +135,32 @@ func NewSized(threads, workers int, label func(w int) []string) *Pool {
 	if threads <= 1 {
 		return nil
 	}
-	if workers > threads {
-		workers = threads
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{threads: threads, work: make([]chan task, workers-1)}
-	for i := range p.work {
-		ch := make(chan task, 1)
-		p.work[i] = ch
-		go func(w int) {
+	workers = max(1, min(workers, threads))
+	p := &Pool{threads: threads, start: NewRendezvous(workers, nil), end: NewRendezvous(workers, nil)}
+	for w := 1; w < workers; w++ {
+		go func() {
 			if label != nil {
 				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 					pprof.Labels(label(w)...)))
 			}
-			for t := range ch {
-				runTids(t.fn, t.next, p.threads)
-				t.wg.Done()
+			for p.start.Wait() {
+				p.runTids()
+				p.end.Wait()
 			}
-		}(i + 1)
+		}()
 	}
 	return p
 }
 
 // runTids pulls logical thread IDs from the shared counter until every
 // tid of the dispatch has been claimed.
-func runTids(fn func(tid int), next *atomic.Int64, threads int) {
+func (p *Pool) runTids() {
 	for {
-		tid := next.Add(1) - 1
-		if tid >= int64(threads) {
+		tid := p.next.Add(1) - 1
+		if tid >= int64(p.threads) {
 			return
 		}
-		fn(int(tid))
+		p.fn(int(tid))
 	}
 }
 
@@ -105,23 +172,17 @@ func (p *Pool) Run(fn func(tid int)) {
 		fn(0)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(len(p.work))
-	for _, ch := range p.work {
-		ch <- task{fn: fn, next: &next, wg: &wg}
-	}
-	runTids(fn, &next, p.threads)
-	wg.Wait()
+	p.fn = fn
+	p.next.Store(0)
+	p.start.Wait()
+	p.runTids()
+	p.end.Wait()
 }
 
 // Stop terminates the workers; the pool must not be used afterwards.
 func (p *Pool) Stop() {
-	if p == nil {
-		return
-	}
-	for _, ch := range p.work {
-		close(ch)
+	if p != nil {
+		p.start.Abort()
 	}
 }
 

@@ -47,15 +47,16 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
-# Five seconds of native fuzzing per target over the bytes the stream
-# plane reads from untrusted clients — the handshake and the inject
-# frames, which compassd and the coordinator's stream proxy parse with
-# the same two functions. `go test -fuzz` takes one target per run; a
-# failing input is written to testdata/fuzz/ and fails `go test` from
-# then on.
+# Five seconds of native fuzzing per target over bytes that arrive from
+# outside: the stream plane's handshake and inject frames, which
+# compassd and the coordinator's stream proxy parse with the same two
+# functions, and a CSPK spike trace through `compass spikes`. `go test
+# -fuzz` takes one target per run; a failing input is written to
+# testdata/fuzz/ and fails `go test` from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadStreamHandshake$$' -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInjectFrames$$' -fuzztime 5s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpikeTrace$$' -fuzztime 5s ./cmd/compass/
 
 check: build vet test race stress bench-smoke fuzz-smoke
 

@@ -80,7 +80,6 @@ func main() {
 		memB      = flag.Int64("memory-budget-bytes", 0, "resident-byte admission budget across running sessions; shared images charged once (0 = unlimited)")
 		addrFile  = flag.String("addr-file", "", "write the bound control and stream addresses to this file (for scripts using :0)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "HTTP connection drain bound during shutdown")
-		batch     = flag.Bool("batch", true, "advance same-model same-decomposition sessions under one shared batched tick loop")
 		workers   = flag.Int("max-extra-workers", 0, "daemon-wide budget of extra worker goroutines shared by compiles, image builds, and session rank teams (0 = GOMAXPROCS, negative = unlimited)")
 		reshapeTh = flag.Float64("reshape-threshold", 0, "auto-reshape: Compute imbalance ratio triggering telemetry-driven repartitioning at chunk boundaries (0 disables)")
 		reshapeIv = flag.Int("reshape-interval", 1, "auto-reshape: minimum chunk boundaries between consecutive reshapes of one session")
@@ -125,7 +124,6 @@ func main() {
 			SubscriberQueue:        *queueCap,
 			ModelCacheBytes:        *cacheB,
 			MemoryBudgetBytes:      *memB,
-			DisableBatch:           !*batch,
 			MaxExtraWorkers:        *workers,
 			ReshapeThreshold:       *reshapeTh,
 			ReshapeInterval:        *reshapeIv,
@@ -136,13 +134,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("compassd: node %s, control plane on %s, stream plane on %s\n", id, srv.HTTPAddr(), srv.StreamAddr())
-	if *addrFile != "" {
-		body := fmt.Sprintf("http=%s\nstream=%s\n", srv.HTTPAddr(), srv.StreamAddr())
-		if err := writeFileAtomic(*addrFile, body); err != nil {
-			fmt.Fprintln(os.Stderr, "compassd: addr-file:", err)
-			os.Exit(1)
-		}
-	}
+	writeAddrFile(*addrFile, srv.HTTPAddr(), srv.StreamAddr())
 
 	var agent *cluster.Agent
 	if *join != "" {
@@ -192,13 +184,7 @@ func runCoordinator(listen, stream, addrFile string, heartbeat time.Duration, la
 		os.Exit(1)
 	}
 	fmt.Printf("compassd: coordinator control plane on %s, stream proxy on %s\n", c.HTTPAddr(), c.StreamAddr())
-	if addrFile != "" {
-		body := fmt.Sprintf("http=%s\nstream=%s\n", c.HTTPAddr(), c.StreamAddr())
-		if err := writeFileAtomic(addrFile, body); err != nil {
-			fmt.Fprintln(os.Stderr, "compassd: addr-file:", err)
-			os.Exit(1)
-		}
-	}
+	writeAddrFile(addrFile, c.HTTPAddr(), c.StreamAddr())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	<-ctx.Done()
 	stop()
@@ -212,12 +198,20 @@ func runCoordinator(listen, stream, addrFile string, heartbeat time.Duration, la
 	fmt.Println("compassd: bye")
 }
 
-// writeFileAtomic writes content via a temp file + rename so a watcher
-// polling the path never reads a partial file.
-func writeFileAtomic(path, content string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strings.TrimLeft(content, "\n")), 0o644); err != nil {
-		return err
+// writeAddrFile records the bound addresses in path, when one is given,
+// via a temp file + rename so a watcher polling the path never reads a
+// partial file. A failure ends the process.
+func writeAddrFile(path, httpAddr, streamAddr string) {
+	if path == "" {
+		return
 	}
-	return os.Rename(tmp, path)
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, []byte(fmt.Sprintf("http=%s\nstream=%s\n", httpAddr, streamAddr)), 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compassd: addr-file:", err)
+		os.Exit(1)
+	}
 }

@@ -98,10 +98,8 @@ func run() error {
 	// Presentation schedule: each class once, separated widely enough
 	// that delayed spikes cannot bleed between presentations.
 	const gap = uint64(channels*delta + 20)
-	presentAt := make([]uint64, len(cls))
 	for i, c := range cls {
 		start := uint64(i) * gap
-		presentAt[i] = start
 		for k := 0; k < channels; k++ {
 			if err := b.Stimulate(chanIn, k, start+c.onset(k)); err != nil {
 				return err

@@ -25,6 +25,11 @@ const (
 	binaryVersion = 1
 )
 
+// MaxCores bounds the core count a model or checkpoint file may
+// declare: a sanity bound against corrupt headers, which would
+// otherwise size allocations.
+const MaxCores = 1 << 28
+
 // neuronRecordBytes is the wire size of one neuron record.
 const neuronRecordBytes = 8 + 1 + 2 + 1 + 4 + 4 + 4 + 4 + 2 + 1
 
@@ -144,8 +149,7 @@ func ReadModel(r io.Reader) (*truenorth.Model, error) {
 	m := &truenorth.Model{Seed: binary.LittleEndian.Uint64(hdr[4:])}
 	numCores := binary.LittleEndian.Uint64(hdr[12:])
 	numInputs := binary.LittleEndian.Uint64(hdr[20:])
-	const maxCores = 1 << 28 // sanity bound against corrupt headers
-	if numCores > maxCores {
+	if numCores > MaxCores {
 		return nil, fmt.Errorf("coreobject: implausible core count %d", numCores)
 	}
 	buf := make([]byte, CoreRecordBytes)

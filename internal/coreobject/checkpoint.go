@@ -112,8 +112,7 @@ func ReadCheckpoint(r io.Reader) (*truenorth.Checkpoint, error) {
 			cp.ModelHash = string(hashBuf)
 		}
 	}
-	const maxCores = 1 << 28
-	if numCores > maxCores {
+	if numCores > MaxCores {
 		return nil, fmt.Errorf("coreobject: implausible checkpoint core count %d", numCores)
 	}
 	cp.States = make([]truenorth.CoreState, numCores)

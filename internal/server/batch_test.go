@@ -217,42 +217,6 @@ func TestBatchedStreamInjection(t *testing.T) {
 	}
 }
 
-// TestDisableBatch: with batching off, same-image sessions run their
-// own loops (no batch group in Info) and still finish correctly.
-func TestDisableBatch(t *testing.T) {
-	model := testModel(4, 9)
-	img, err := truenorth.NewImage(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startTestServer(t, ManagerOptions{
-		CapacitySecondsPerTick: 1e9,
-		ChunkTicks:             10,
-		DisableBatch:           true,
-	})
-	mgr := srv.Manager()
-	cfg := sim.Config{Ranks: 1, ThreadsPerRank: 1, Transport: sim.TransportShmem}
-	a, err := mgr.Create(CreateParams{Image: img, Cfg: cfg, Ticks: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mgr.Create(CreateParams{Image: img, Cfg: cfg, Ticks: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Session{a, b} {
-		if !s.WaitState(60*time.Second, func(st State) bool { return st == StateDone }) {
-			t.Fatalf("state %s, want done (err %v)", s.State(), s.Err())
-		}
-		if g := s.Info().BatchGroup; g != "" {
-			t.Fatalf("batch group %q with batching disabled", g)
-		}
-	}
-	if !bytes.Equal(ckptBytes(t, a.Checkpoint()), ckptBytes(t, refFinal(t, model, 30))) {
-		t.Fatal("unbatched checkpoint differs from reference")
-	}
-}
-
 // TestImagePinnedWhileResident: the manager pins a session's model
 // cache entry for as long as any running session holds the image, and
 // releases the pin when the last one exits.

@@ -77,10 +77,6 @@ type ManagerOptions struct {
 	// per session. Sessions that could never fit are rejected; sessions
 	// that merely don't fit right now queue FIFO. Zero means unlimited.
 	MemoryBudgetBytes int64
-	// DisableBatch gives every session a private batch group: its own
-	// independent tick loop even when other resident sessions share its
-	// model and decomposition.
-	DisableBatch bool
 	// MaxExtraWorkers bounds the daemon-wide pool of extra worker
 	// goroutines shared by every image build, PCC compile, and session
 	// rank team (each team keeps its calling goroutine and acquires up
@@ -541,12 +537,12 @@ func (m *Manager) startLocked(s *Session) bool {
 
 // joinGroupLocked routes s to the batch group for decomposition cfg,
 // founding it when s is the first member and leaving any group s was in
-// before. With batching disabled, or with fault injection armed (a fault
-// plan belongs to one session), the group is private: keyed by the
-// session's own ID so nobody else ever joins it. Callers hold mu.
+// before. With fault injection armed (a fault plan belongs to one
+// session), the group is private: keyed by the session's own ID so
+// nobody else ever joins it. Callers hold mu.
 func (m *Manager) joinGroupLocked(s *Session, cfg sim.Config) {
 	key := batchKey(s.img, cfg)
-	private := m.opts.DisableBatch || cfg.Faults != nil
+	private := cfg.Faults != nil
 	if private {
 		key += "|" + s.ID
 	}

@@ -34,7 +34,6 @@ func TestAutoReshapeAtChunkBoundary(t *testing.T) {
 		ChunkTicks:             10,
 		ReshapeThreshold:       1.2,
 		ReshapeInterval:        1,
-		DisableBatch:           true,
 	})
 	s, err := mgr.Create(CreateParams{Name: "skewed", Cfg: cfg, Model: model, Ticks: ticks})
 	if err != nil {

@@ -2,8 +2,8 @@ package spikecode
 
 import "github.com/cognitive-sim/compass/internal/prng"
 
-// The 5×7 dot-matrix digit font and its glyph helpers, shared by the
-// charrec example and the charrec scenario.
+// The 5×7 dot-matrix digit font and its glyph helpers, used by the
+// charrec scenario.
 
 // Glyph geometry.
 const (

@@ -47,16 +47,20 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
-# Five seconds of native fuzzing per target over bytes that arrive from
-# outside: the stream plane's handshake and inject frames, which
+# Five seconds of native fuzzing per target: over bytes that arrive
+# from outside (the stream plane's handshake and inject frames, which
 # compassd and the coordinator's stream proxy parse with the same two
-# functions, and a CSPK spike trace through `compass spikes`. `go test
-# -fuzz` takes one target per run; a failing input is written to
-# testdata/fuzz/ and fails `go test` from then on.
+# functions, and a CSPK spike trace through `compass spikes`), and over
+# core configurations decoded from bytes, on which the Synapse kernel,
+# the event walk and the scalar walk, and the two Neuron loops, must
+# agree bit for bit. `go test -fuzz` takes one target per run; a
+# failing input is written to testdata/fuzz/ and fails `go test` from
+# then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadStreamHandshake$$' -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInjectFrames$$' -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpikeTrace$$' -fuzztime 5s ./cmd/compass/
+	$(GO) test -run '^$$' -fuzz '^FuzzSynapsePaths$$' -fuzztime 5s ./internal/truenorth/
 
 check: build vet test race stress bench-smoke fuzz-smoke
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"github.com/cognitive-sim/compass/internal/coreobject"
 	"github.com/cognitive-sim/compass/internal/spikeio"
@@ -97,13 +96,12 @@ func (r spikeReport) print(w io.Writer, events []spikeio.Event) error {
 		fmt.Fprintf(w, "trace: %d spikes over %d ticks, %d cores addressed\n", len(events), ticks, cores)
 		hz := float64(len(events)) / float64(cores) / truenorth.CoreSize / float64(ticks) * 1000
 		fmt.Fprintf(w, "mean rate: %.2f Hz per neuron (1 ms ticks)\n", hz)
-		perCore, err := spikeio.PerCoreRates(events, cores, ticks)
+		perCore, err := spikeio.CoreRates(events, cores, ticks)
 		if err != nil {
 			return err
 		}
-		sort.Float64s(perCore)
 		fmt.Fprintf(w, "per-core rate: min %.2f, median %.2f, max %.2f Hz\n",
-			perCore[0], perCore[len(perCore)/2], perCore[len(perCore)-1])
+			perCore.Min, perCore.Median, perCore.Max)
 	}
 
 	if r.rates {

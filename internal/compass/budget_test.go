@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/cognitive-sim/compass/internal/cocomac"
+	"github.com/cognitive-sim/compass/internal/pcc"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
@@ -36,14 +38,61 @@ func mallocsPerTick(t *testing.T, img *truenorth.Image, cfg Config, n int) float
 	return best
 }
 
-// TestResourceBudgets holds the per-tick allocation count of each
-// transport on a small 2-rank × 2-thread model to a recorded budget.
-// Counts, unlike timings, are functions of the code and the seed, so a
-// planted per-tick allocation in the sweep, a transport or the worker
-// team fails here on any host. Bounds only tighten: a change that
-// lowers a count lowers its bound, and one that must raise a bound says
-// why in CHANGES.md.
+// TestResourceBudgets holds counts that are functions of the code and
+// the seed, unlike timings, to recorded budgets, so a regression fails
+// here on any host: the per-tick allocation count of each transport,
+// and the core-ticks each Synapse path serves on a CoCoMac model.
+// Bounds only tighten: a change that lowers a count lowers its bound,
+// and one that must raise a bound says why in CHANGES.md.
 func TestResourceBudgets(t *testing.T) {
+	t.Run("synapse-paths", synapsePathBudget)
+	t.Run("mallocs-per-tick", mallocsPerTickBudget)
+}
+
+// synapsePathBudget pins the Synapse path of all 5120 core-ticks of a
+// 40-tick CoCoMac-128 run on 2 ranks × 1 thread. At CoCoMac's activity
+// (a few pending axons per core-tick) the event walk serves every
+// Synapse phase that runs, and the kernel's fixed cost is paid on none.
+// CoCoMac neurons leak, so no core-tick is quiescent. The same run
+// pinned to the reference paths serves those core-ticks on the scalar
+// walk instead.
+func synapsePathBudget(t *testing.T) {
+	spec, err := cocomac.Generate(2012).ToSpec(128, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pcc.Compile(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := truenorth.NewImage(res.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ kernel, event, scalar, skips, quiescent uint64 }
+	for _, row := range []struct {
+		forceScalar bool
+		want        counts
+	}{
+		{false, counts{event: 867, skips: 4253}},
+		{true, counts{scalar: 867, skips: 4253}},
+	} {
+		st, err := RunImage(img, Config{Ranks: 2, ThreadsPerRank: 1, RankOf: res.RankOf, ForceScalar: row.forceScalar}, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := counts{st.KernelCoreTicks, st.EventCoreTicks, st.ScalarCoreTicks, st.SynapseSkips, st.QuiescentCoreTicks}
+		if got != row.want {
+			t.Errorf("ForceScalar=%v: core-ticks by path %+v, want %+v", row.forceScalar, got, row.want)
+		}
+	}
+}
+
+// mallocsPerTickBudget holds the per-tick allocation count of each
+// transport on a small 2-rank × 2-thread model to a recorded budget: a
+// planted per-tick allocation in the sweep, a transport or the worker
+// team fails here.
+func mallocsPerTickBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets measure full runs")
 	}

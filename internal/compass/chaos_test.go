@@ -244,6 +244,7 @@ func TestFailedRunStillFlushesTelemetry(t *testing.T) {
 	}
 	snap := tel.Registry().Snapshot()
 	dispatch := snap.Value("compass_synapse_dispatch_total", telemetry.Label{Key: "path", Value: "kernel"}) +
+		snap.Value("compass_synapse_dispatch_total", telemetry.Label{Key: "path", Value: "event"}) +
 		snap.Value("compass_synapse_dispatch_total", telemetry.Label{Key: "path", Value: "scalar"})
 	skips := snap.Value("compass_synapse_skips_total")
 	quiescent := snap.Value("compass_quiescent_core_ticks_total")

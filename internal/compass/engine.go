@@ -248,12 +248,10 @@ type laneRank struct {
 	sinkBatch  []truenorth.SpikeEvent
 
 	// cumulative per-thread per-lane compute counters: core-ticks
-	// skipped entirely, Synapse phases skipped for lack of pending
-	// spikes, and Synapse-path dispatches (telemetry only).
-	threadQuiescent  [][]uint64
-	threadSynSkips   [][]uint64
-	threadKernelHits [][]uint64
-	threadScalarHits [][]uint64
+	// skipped entirely, and the Synapse path each other core-tick took
+	// (truenorth.PathNone: no pending spikes, phase skipped).
+	threadQuiescent [][]uint64
+	threadPaths     [][][truenorth.NumSynapsePaths]uint64
 
 	// threadSynapseNS[tid] is the current sweep's Synapse wall-clock on
 	// thread tid (nanoseconds, written when measure is set).
@@ -372,17 +370,13 @@ func newLaneRank(r int, img *truenorth.Image, cfg Config, lanes []BatchLane, pla
 	lr.threadDestLanes = make([][]uint64, threads)
 	lr.threadTick = make([][]laneTraffic, threads)
 	lr.threadQuiescent = make([][]uint64, threads)
-	lr.threadSynSkips = make([][]uint64, threads)
-	lr.threadKernelHits = make([][]uint64, threads)
-	lr.threadScalarHits = make([][]uint64, threads)
+	lr.threadPaths = make([][][truenorth.NumSynapsePaths]uint64, threads)
 	lr.threadSynapseNS = make([]int64, threads)
 	for tid := 0; tid < threads; tid++ {
 		lr.threadDestLanes[tid] = make([]uint64, cfg.Ranks)
 		lr.threadTick[tid] = make([]laneTraffic, nLanes)
 		lr.threadQuiescent[tid] = make([]uint64, nLanes)
-		lr.threadSynSkips[tid] = make([]uint64, nLanes)
-		lr.threadKernelHits[tid] = make([]uint64, nLanes)
-		lr.threadScalarHits[tid] = make([]uint64, nLanes)
+		lr.threadPaths[tid] = make([][truenorth.NumSynapsePaths]uint64, nLanes)
 	}
 	lr.tick = make([]laneTraffic, nLanes)
 	lr.total = make([]laneTraffic, nLanes)
@@ -505,12 +499,13 @@ func (lr *laneRank) sweep(t uint64) error {
 	// rings, and PRNG streams are contiguous, so the shared crossbar
 	// planes and kernel stay hot across all sessions of the core.
 	// Quiescent lanes of a core (passive dynamics, settled state, no
-	// spikes due) are skipped outright, and the Synapse phase is skipped
-	// for active ones with no pending spikes this tick; both decisions
-	// depend only on the lane's own state and the shared config. When
-	// measuring, each thread also clocks its Synapse work so the two
-	// compute phases report separately (Figure 4(a) plots them as
-	// distinct bars).
+	// spikes due) are skipped outright; the Synapse phase of an active
+	// one picks its path from the tick's pending axons (nothing to do,
+	// the kernel, the event walk or the scalar walk) and reports it.
+	// Both decisions depend only on the lane's own state and the shared
+	// config. When measuring, each thread also clocks its Synapse work
+	// so the two compute phases report separately (Figure 4(a) plots
+	// them as distinct bars).
 	lr.pool.Run(func(tid int) {
 		synapseNS := int64(0)
 		for _, cl := range lr.threadCores[tid] {
@@ -521,24 +516,15 @@ func (lr *laneRank) sweep(t uint64) error {
 					lr.threadQuiescent[tid][s]++
 					continue
 				}
-				if core.HasPendingSpikes(lt) {
-					if measure {
-						s0 := time.Now()
-						core.SynapsePhase(lt)
-						synapseNS += time.Since(s0).Nanoseconds()
-					} else {
-						core.SynapsePhase(lt)
-					}
-					if counting {
-						if core.KernelActive() {
-							lr.threadKernelHits[tid][s]++
-						} else {
-							lr.threadScalarHits[tid][s]++
-						}
-					}
+				var path truenorth.SynapsePath
+				if measure && core.HasPendingSpikes(lt) {
+					s0 := time.Now()
+					path = core.SynapsePhase(lt)
+					synapseNS += time.Since(s0).Nanoseconds()
 				} else {
-					lr.threadSynSkips[tid][s]++
+					path = core.SynapsePhase(lt)
 				}
+				lr.threadPaths[tid][s][path]++
 				// Spikes are counted on the stack and folded into the
 				// per-thread array once per core: neighbouring threads'
 				// counters share cache lines.
@@ -743,18 +729,16 @@ func (lr *laneRank) flushTelemetry() {
 		if lane.Telemetry == nil {
 			continue
 		}
-		var kernel, scalar, skips, quiescent uint64
+		paths := lr.lanePaths(s)
+		var quiescent uint64
 		for tid := 0; tid < lr.threads; tid++ {
-			kernel += lr.threadKernelHits[tid][s]
-			scalar += lr.threadScalarHits[tid][s]
-			skips += lr.threadSynSkips[tid][s]
 			quiescent += lr.threadQuiescent[tid][s]
 		}
 		dropped := lr.laneStale[s] + lr.laneStreamDrops[s]
 		for _, cl := range lr.cores {
 			dropped += cl.Lane(s).DroppedInjects()
 		}
-		lane.Telemetry.computeCounts(lr.rank, kernel, scalar, skips, quiescent, dropped)
+		lane.Telemetry.computeCounts(lr.rank, paths, quiescent, dropped)
 	}
 }
 
@@ -822,6 +806,16 @@ func (lr *laneRank) misdelivered(target truenorth.SpikeTarget) error {
 	}
 }
 
+// lanePaths sums lane s's Synapse-path core-tick counts over threads.
+func (lr *laneRank) lanePaths(s int) (paths [truenorth.NumSynapsePaths]uint64) {
+	for tid := 0; tid < lr.threads; tid++ {
+		for p, n := range lr.threadPaths[tid][s] {
+			paths[p] += n
+		}
+	}
+	return paths
+}
+
 // laneRankStats summarizes one lane on this rank after the run.
 func (lr *laneRank) laneRankStats(s int) RankStats {
 	rs := RankStats{
@@ -847,8 +841,12 @@ func (lr *laneRank) laneRankStats(s int) RankStats {
 	}
 	for tid := 0; tid < lr.threads; tid++ {
 		rs.QuiescentCoreTicks += lr.threadQuiescent[tid][s]
-		rs.SynapseSkips += lr.threadSynSkips[tid][s]
 	}
+	paths := lr.lanePaths(s)
+	rs.SynapseSkips = paths[truenorth.PathNone]
+	rs.KernelCoreTicks = paths[truenorth.PathKernel]
+	rs.EventCoreTicks = paths[truenorth.PathEvent]
+	rs.ScalarCoreTicks = paths[truenorth.PathScalar]
 	// Every enabled neuron is updated once per tick.
 	rs.NeuronUpdates = lr.enabled * uint64(lr.ticksRun)
 	return rs
@@ -895,6 +893,9 @@ func gather(img *truenorth.Image, cfg Config, ticks int, ranks []*laneRank) *Bat
 			out.NeuronUpdates += rs.NeuronUpdates
 			out.QuiescentCoreTicks += rs.QuiescentCoreTicks
 			out.SynapseSkips += rs.SynapseSkips
+			out.KernelCoreTicks += rs.KernelCoreTicks
+			out.EventCoreTicks += rs.EventCoreTicks
+			out.ScalarCoreTicks += rs.ScalarCoreTicks
 			out.DroppedInputs += rs.DroppedInputs
 			if cfg.RecordPerTick {
 				for k := range out.PerTick {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/cognitive-sim/compass/internal/faults"
 	"github.com/cognitive-sim/compass/internal/telemetry"
+	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
 // This file binds the generic telemetry layer (internal/telemetry) to
@@ -91,8 +92,7 @@ type Telemetry struct {
 
 	kernelCores    telemetry.Gauge
 	scalarCores    telemetry.Gauge
-	kernelDispatch telemetry.Counter
-	scalarDispatch telemetry.Counter
+	dispatch       [truenorth.NumSynapsePaths]telemetry.Counter
 	synapseSkips   telemetry.Counter
 	quiescentTicks telemetry.Counter
 	droppedInputs  telemetry.Counter
@@ -140,10 +140,10 @@ func NewTelemetryWithLabels(ranks int, base ...telemetry.Label) *Telemetry {
 		"cores placed, by Synapse-phase path", lbl(telemetry.Label{Key: "path", Value: "kernel"})...)
 	t.scalarCores = reg.Gauge("compass_cores",
 		"cores placed, by Synapse-phase path", lbl(telemetry.Label{Key: "path", Value: "scalar"})...)
-	t.kernelDispatch = reg.Counter("compass_synapse_dispatch_total",
-		"Synapse phases executed, by path", lbl(telemetry.Label{Key: "path", Value: "kernel"})...)
-	t.scalarDispatch = reg.Counter("compass_synapse_dispatch_total",
-		"Synapse phases executed, by path", lbl(telemetry.Label{Key: "path", Value: "scalar"})...)
+	for _, p := range dispatchPaths {
+		t.dispatch[p.path] = reg.Counter("compass_synapse_dispatch_total",
+			"Synapse phases executed, by the path each core-tick took", lbl(telemetry.Label{Key: "path", Value: p.name})...)
+	}
 	t.synapseSkips = reg.Counter("compass_synapse_skips_total",
 		"Synapse phases skipped on active cores with no pending spikes", lbl()...)
 	t.quiescentTicks = reg.Counter("compass_quiescent_core_ticks_total",
@@ -220,15 +220,28 @@ func (t *Telemetry) setCorePaths(rank int, kernel, scalar int) {
 	t.scalarCores.Set(rank, float64(scalar))
 }
 
+// dispatchPaths names the Synapse paths compass_synapse_dispatch_total
+// counts, in exposition order.
+var dispatchPaths = []struct {
+	path truenorth.SynapsePath
+	name string
+}{
+	{truenorth.PathKernel, "kernel"},
+	{truenorth.PathEvent, "event"},
+	{truenorth.PathScalar, "scalar"},
+}
+
 // computeCounts accumulates the rank's cumulative compute-phase
-// counters (called once at end of run with run totals).
-func (t *Telemetry) computeCounts(rank int, kernelDispatch, scalarDispatch, skips, quiescent, dropped uint64) {
+// counters (called once at end of run with run totals); paths counts
+// core-ticks by Synapse path, truenorth.PathNone being the skips.
+func (t *Telemetry) computeCounts(rank int, paths [truenorth.NumSynapsePaths]uint64, quiescent, dropped uint64) {
 	if t == nil {
 		return
 	}
-	t.kernelDispatch.Add(rank, kernelDispatch)
-	t.scalarDispatch.Add(rank, scalarDispatch)
-	t.synapseSkips.Add(rank, skips)
+	for _, p := range dispatchPaths {
+		t.dispatch[p.path].Add(rank, paths[p.path])
+	}
+	t.synapseSkips.Add(rank, paths[truenorth.PathNone])
 	t.quiescentTicks.Add(rank, quiescent)
 	t.droppedInputs.Add(rank, dropped)
 }

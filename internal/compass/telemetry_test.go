@@ -125,6 +125,12 @@ func TestMetricsMatchRunStats(t *testing.T) {
 				telemetry.Label{Key: "kind", Value: "remote"}), stats.RemoteSpikes)
 			check("firings", snap.Value("compass_firings_total"), stats.TotalSpikes)
 			check("synapse skips", snap.Value("compass_synapse_skips_total"), stats.SynapseSkips)
+			for path, want := range map[string]uint64{
+				"kernel": stats.KernelCoreTicks, "event": stats.EventCoreTicks, "scalar": stats.ScalarCoreTicks,
+			} {
+				check(path+" dispatches", snap.Value("compass_synapse_dispatch_total",
+					telemetry.Label{Key: "path", Value: path}), want)
+			}
 			check("quiescent ticks", snap.Value("compass_quiescent_core_ticks_total"), stats.QuiescentCoreTicks)
 			check("dropped inputs", snap.Value("compass_dropped_inputs_total"), stats.DroppedInputs)
 
@@ -205,6 +211,7 @@ func TestCorePathGauges(t *testing.T) {
 		t.Errorf("kernel (%v) + scalar (%v) cores != %d total", kernel, scalar, stats.NumCores)
 	}
 	dispatch := snap.Value("compass_synapse_dispatch_total", telemetry.Label{Key: "path", Value: "kernel"}) +
+		snap.Value("compass_synapse_dispatch_total", telemetry.Label{Key: "path", Value: "event"}) +
 		snap.Value("compass_synapse_dispatch_total", telemetry.Label{Key: "path", Value: "scalar"})
 	if dispatch <= 0 {
 		t.Error("no synapse dispatches counted")

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/cognitive-sim/compass/internal/prng"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
@@ -127,18 +129,46 @@ func TestRateSeries(t *testing.T) {
 	}
 }
 
+// TestPerCoreRates checks the sparse per-core rate summary against the
+// dense one it replaces (one rate per core, sorted) on random traces,
+// silent cores and cores past numCores included.
 func TestPerCoreRates(t *testing.T) {
 	// Core 0 receives 256 spikes over 1000 ticks: 256/(256 neurons)/1s = 1 Hz.
 	var events []Event
 	for i := 0; i < 256; i++ {
 		events = append(events, Event{Tick: uint64(i), Core: 0})
 	}
-	rates, err := PerCoreRates(events, 2, 1000)
+	got, err := CoreRates(events, 2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(rates[0]-1.0) > 1e-9 || rates[1] != 0 {
-		t.Fatalf("rates %v", rates)
+	if got.Min != 0 || math.Abs(got.Median-1.0) > 1e-9 || math.Abs(got.Max-1.0) > 1e-9 {
+		t.Fatalf("summary %+v, want min 0, median 1, max 1", got)
+	}
+	r := prng.New(3)
+	for trial := 0; trial < 50; trial++ {
+		numCores, ticks := 1+r.Intn(40), 1+r.Intn(500)
+		events = events[:0]
+		for i := r.Intn(300); i > 0; i-- {
+			events = append(events, Event{Tick: uint64(r.Intn(ticks)), Core: truenorth.CoreID(r.Intn(numCores + 5))})
+		}
+		dense := make([]float64, numCores)
+		for _, ev := range events {
+			if int(ev.Core) < numCores {
+				dense[ev.Core]++
+			}
+		}
+		for i := range dense {
+			dense[i] = dense[i] / truenorth.CoreSize / float64(ticks) * 1000
+		}
+		sort.Float64s(dense)
+		want := RateSummary{Min: dense[0], Median: dense[numCores/2], Max: dense[numCores-1]}
+		if got, err := CoreRates(events, numCores, ticks); err != nil || got != want {
+			t.Fatalf("trial %d: summary %+v (%v), dense %+v", trial, got, err, want)
+		}
+	}
+	if _, err := CoreRates(events, 0, 1); err == nil {
+		t.Fatal("zero cores accepted")
 	}
 }
 

@@ -47,6 +47,7 @@ func (img *Image) NewCoreLanes(i, n int) (*CoreLanes, error) {
 			cfg:     cfg,
 			rng:     &cl.rngs[s],
 			kern:    img.kernels[i],
+			hot:     img.hot[i],
 			passive: img.passive[i],
 		}
 	}
@@ -66,8 +67,8 @@ func (cl *CoreLanes) ID() CoreID { return cl.lanes[0].cfg.ID }
 // Config returns the shared core configuration.
 func (cl *CoreLanes) Config() *CoreConfig { return cl.lanes[0].cfg }
 
-// ForceScalar pins every lane to the scalar Synapse path and disables
-// quiescent-core skipping, mirroring Core.ForceScalar.
+// ForceScalar pins every lane to the reference Synapse and Neuron paths
+// and disables quiescent-core skipping, mirroring Core.ForceScalar.
 func (cl *CoreLanes) ForceScalar() {
 	for s := range cl.lanes {
 		cl.lanes[s].ForceScalar()

@@ -23,7 +23,7 @@ test:
 # and the fault injection and abort paths (delayed async sends, barrier
 # aborts, receiver-side dedup) all run under -race here.
 race:
-	$(GO) test -race ./internal/workpool/... ./internal/truenorth/... ./internal/compass/... ./internal/faults/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/reshape/... ./internal/spikecode/... ./internal/scenario/...
+	$(GO) test -race ./internal/workpool/... ./internal/truenorth/... ./internal/compass/... ./internal/faults/... ./internal/mpi/... ./internal/pgas/... ./internal/modelcache/... ./internal/server/... ./internal/cluster/... ./internal/spikecode/... ./internal/scenario/...
 
 # The rendezvous polls with runtime.Gosched before it parks: with one
 # CPU a waiter must still let the peer it waits for run, and with two
@@ -50,7 +50,8 @@ bench-smoke:
 # Five seconds of native fuzzing per target: over bytes that arrive
 # from outside (the stream plane's handshake and inject frames, which
 # compassd and the coordinator's stream proxy parse with the same two
-# functions, and a CSPK spike trace through `compass spikes`), and over
+# functions, a CSPK spike trace through `compass spikes`, and the
+# `-faults` grammar, which a create request also carries), and over
 # core configurations decoded from bytes, on which the Synapse kernel,
 # the event walk and the scalar walk, and the two Neuron loops, must
 # agree bit for bit. `go test -fuzz` takes one target per run; a
@@ -61,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInjectFrames$$' -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpikeTrace$$' -fuzztime 5s ./cmd/compass/
 	$(GO) test -run '^$$' -fuzz '^FuzzSynapsePaths$$' -fuzztime 5s ./internal/truenorth/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 5s ./internal/faults/
 
 check: build vet test race stress bench-smoke fuzz-smoke
 

@@ -81,8 +81,6 @@ func main() {
 		addrFile  = flag.String("addr-file", "", "write the bound control and stream addresses to this file (for scripts using :0)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "HTTP connection drain bound during shutdown")
 		workers   = flag.Int("max-extra-workers", 0, "daemon-wide budget of extra worker goroutines shared by compiles, image builds, and session rank teams (0 = GOMAXPROCS, negative = unlimited)")
-		reshapeTh = flag.Float64("reshape-threshold", 0, "auto-reshape: Compute imbalance ratio triggering telemetry-driven repartitioning at chunk boundaries (0 disables)")
-		reshapeIv = flag.Int("reshape-interval", 1, "auto-reshape: minimum chunk boundaries between consecutive reshapes of one session")
 
 		// Cluster identity and membership.
 		coordMode  = flag.Bool("coordinator", false, "run as the cluster coordinator instead of a simulation daemon")
@@ -125,8 +123,6 @@ func main() {
 			ModelCacheBytes:        *cacheB,
 			MemoryBudgetBytes:      *memB,
 			MaxExtraWorkers:        *workers,
-			ReshapeThreshold:       *reshapeTh,
-			ReshapeInterval:        *reshapeIv,
 		},
 	})
 	if err := srv.Start(); err != nil {

@@ -137,10 +137,6 @@ type (
 	// BatchResult is the outcome of a batched run: one RunStats per lane
 	// plus the mean wall-clock per shared sweep.
 	BatchResult = sim.BatchResult
-	// ReshapePlan describes the core→rank partition a paused run should
-	// resume on (see Config.Reshape); internal/reshape computes
-	// telemetry-driven plans.
-	ReshapePlan = sim.ReshapePlan
 )
 
 // NewTelemetry builds a telemetry bundle sharded for a run with the

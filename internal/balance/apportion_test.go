@@ -10,9 +10,8 @@ import (
 // largest-remainder apportionment: for any nonnegative weight vector
 // (zeros included, all-zero included) and any target, the output sums
 // exactly to max(target, 0), every entry is nonnegative, and zero-weight
-// entries receive nothing unless the whole row is zero. Reshape feeds
-// this helper telemetry counters that are legitimately zero, which is
-// exactly where the old code silently dropped units.
+// entries receive nothing unless the whole row is zero. Zero weights
+// are exactly where the old code silently dropped units.
 func TestApportionRowSumInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 5000; iter++ {
@@ -32,7 +31,7 @@ func TestApportionRowSumInvariant(t *testing.T) {
 			}
 		}
 		target := rng.Intn(2000) - 10 // occasionally negative
-		out := Apportion(weights, target)
+		out := apportionRow(weights, target)
 
 		if len(out) != n {
 			t.Fatalf("iter %d: len(out) = %d, want %d", iter, len(out), n)
@@ -71,15 +70,15 @@ func TestApportionRowSumInvariant(t *testing.T) {
 // TestApportionAllZeroWeights pins the all-zero convention: units spread
 // uniformly, first entries taking the remainder.
 func TestApportionAllZeroWeights(t *testing.T) {
-	got := Apportion([]float64{0, 0, 0}, 8)
+	got := apportionRow([]float64{0, 0, 0}, 8)
 	want := []int{3, 3, 2}
 	for j := range want {
 		if got[j] != want[j] {
-			t.Fatalf("Apportion(zeros, 8) = %v, want %v", got, want)
+			t.Fatalf("apportionRow(zeros, 8) = %v, want %v", got, want)
 		}
 	}
-	if out := Apportion(nil, 5); len(out) != 0 {
-		t.Fatalf("Apportion(nil, 5) = %v, want empty", out)
+	if out := apportionRow(nil, 5); len(out) != 0 {
+		t.Fatalf("apportionRow(nil, 5) = %v, want empty", out)
 	}
 }
 

@@ -270,21 +270,13 @@ func RoundToInteger(m [][]float64, rowSums []float64) [][]int {
 	return out
 }
 
-// Apportion distributes target units over weights proportionally using
-// the largest-remainder method, and guarantees the sum invariant
-// sum(out) == max(target, 0) for every nonnegative weight vector with at
-// least one entry. Entries with zero weight receive nothing unless every
-// weight is zero, in which case the units spread uniformly (reshape
-// feeds telemetry counters that can legitimately be all zero — an
-// all-zero row must still account for every unit). The result is
-// deterministic: ties break on the lowest index.
-func Apportion(weights []float64, target int) []int {
-	return apportionRow(weights, target)
-}
-
 // apportionRow distributes target units over a row proportionally to the
-// row's weights using the largest-remainder method. See Apportion for
-// the sum invariant and the all-zero-weights convention.
+// row's weights using the largest-remainder method, and guarantees the
+// sum invariant sum(out) == max(target, 0) for every nonnegative weight
+// vector with at least one entry. Entries with zero weight receive
+// nothing unless every weight is zero, in which case the units spread
+// uniformly (an all-zero row must still account for every unit). The
+// result is deterministic: ties break on the lowest index.
 func apportionRow(weights []float64, target int) []int {
 	out := make([]int, len(weights))
 	if target <= 0 || len(weights) == 0 {

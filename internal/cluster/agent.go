@@ -163,10 +163,12 @@ func (a *Agent) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// Stop ends the loops and deregisters from the coordinator.
+// Stop ends the loops, deregisters from the coordinator and closes the
+// agent's idle connections to it, which would delay its shutdown.
 func (a *Agent) Stop() {
 	a.stopOnce.Do(func() { close(a.stop) })
 	a.wg.Wait()
 	// A coordinator that is already gone needs no deregistration.
 	_ = a.coord.Do(http.MethodDelete, "/v1/cluster/nodes/"+a.srv.NodeID(), nil, nil)
+	a.coord.CloseIdleConnections()
 }

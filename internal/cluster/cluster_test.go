@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime/debug"
 	"sort"
@@ -794,6 +795,33 @@ func TestNodeShutdownAfterProxiedSessionEnds(t *testing.T) {
 }
 
 // ---- drain, placement, control-plane surface --------------------------
+
+// TestCoordinatorShutdownClosesUnusedConn: a control-plane connection
+// that has sent no request must not hold the coordinator's Shutdown;
+// net/http alone waits 5 s for one.
+func TestCoordinatorShutdownClosesUnusedConn(t *testing.T) {
+	c := NewCoordinator(Options{HTTPAddr: "127.0.0.1:0", StreamAddr: "127.0.0.1:0", Logf: t.Logf})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", c.HTTPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Connections are accepted in arrival order: a request answered on
+	// a later one proves the unused one was accepted.
+	if err := server.NewClient(c.HTTPAddr(), 10*time.Second).Do(http.MethodGet, "/healthz", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	began := time.Now()
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took >= time.Second {
+		t.Fatalf("Shutdown took %v beside an unused connection", took)
+	}
+}
 
 // TestDrainNode moves every session off a node via the drain endpoint
 // (the SIGTERM rolling-restart path) and checks the node is excluded

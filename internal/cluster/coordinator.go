@@ -154,7 +154,7 @@ type Coordinator struct {
 
 	httpLn   net.Listener
 	streamLn net.Listener
-	httpSrv  *http.Server
+	httpSrv  *server.HTTPServer
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	started  time.Time
@@ -188,7 +188,7 @@ func (c *Coordinator) Start() error {
 		return fmt.Errorf("cluster: stream listen: %w", err)
 	}
 	c.httpLn, c.streamLn = httpLn, streamLn
-	c.httpSrv = &http.Server{Handler: c.handler()}
+	c.httpSrv = server.NewHTTPServer(c.handler())
 	go c.httpSrv.Serve(httpLn)
 	c.wg.Add(2)
 	go c.acceptProxy(streamLn)
@@ -203,12 +203,19 @@ func (c *Coordinator) HTTPAddr() string { return c.httpLn.Addr().String() }
 func (c *Coordinator) StreamAddr() string { return c.streamLn.Addr().String() }
 
 // Shutdown stops serving. Sessions keep running on their nodes; a
-// coordinator restart re-learns the fleet from re-registrations.
+// coordinator restart re-learns the fleet from re-registrations. The
+// coordinator's own idle connections to the nodes close first; ctx
+// bounds the wait for control-plane requests in flight.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	close(c.stop)
 	c.streamLn.Close()
-	err := c.httpSrv.Shutdown(ctx)
 	c.ownerTransport.CloseIdleConnections()
+	c.mu.Lock()
+	for _, n := range c.nodes {
+		n.client.CloseIdleConnections()
+	}
+	c.mu.Unlock()
+	err := c.httpSrv.Shutdown(ctx)
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()

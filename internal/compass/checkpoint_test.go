@@ -1,9 +1,12 @@
 package compass
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"github.com/cognitive-sim/compass/internal/coreobject"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
 
@@ -48,6 +51,111 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	if !reflect.DeepEqual(second.Trace, want) {
 		t.Fatalf("resumed trace differs: %d events vs %d expected", len(second.Trace), len(want))
 	}
+}
+
+// decompositions is the partition a resumed run switches to at each
+// chunk boundary: 2 ranks, then 1→8→3→5→1. Every multi-rank placement
+// is non-block, and the 5-rank one leaves rank 3 idle.
+var decompositions = []struct {
+	ranks  int
+	rankOf []int
+}{
+	{2, []int{1, 0, 1, 1, 0, 0, 1, 0}},
+	{1, nil},
+	{8, []int{3, 7, 0, 5, 1, 6, 2, 4}},
+	{3, []int{2, 0, 1, 1, 0, 2, 2, 0}},
+	{5, []int{4, 1, 4, 0, 2, 2, 0, 1}},
+	{1, nil},
+}
+
+// TestResumeAcrossDecompositions is the cross-decomposition checkpoint
+// contract: a run resumed at every chunk boundary onto the next
+// partition of decompositions gives the trace and the final
+// checkpoint bytes of the same ticks run straight through. It holds on
+// every transport, with stochastic cores (the per-core PRNG streams
+// survive each move), with a live input stream injecting on both sides
+// of each boundary, and for both lanes of a 2-lane batch, one streamed
+// and one not.
+func TestResumeAcrossDecompositions(t *testing.T) {
+	const nCores, chunk = 8, 6
+	ticks := chunk * len(decompositions)
+	m := stochasticModel(nCores, 0xE1A57)
+	img, err := truenorth.NewImage(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := streamStub{nCores: nCores}
+	straight := func(in InputSource) *RunStats {
+		stats, err := Run(m, Config{
+			Ranks: 2, ThreadsPerRank: 2,
+			RecordTrace: true, ReturnState: true, InputSource: in,
+		}, ticks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	refs := []*RunStats{straight(src), straight(nil)}
+	if len(refs[1].Trace) == 0 || reflect.DeepEqual(refs[0].Trace, refs[1].Trace) {
+		t.Fatal("the straight runs fire nothing, or the stream changes nothing: the table would prove nothing")
+	}
+
+	for _, tr := range Transports() {
+		for _, lanes := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", tr, lanes), func(t *testing.T) {
+				batch := make([]BatchLane, lanes)
+				batch[0].InputSource = src
+				traces := make([][]truenorth.SpikeEvent, lanes)
+				for c, d := range decompositions {
+					cfg := Config{
+						Ranks: d.ranks, RankOf: d.rankOf, ThreadsPerRank: 2, Transport: tr,
+						RecordTrace: true, ReturnState: true,
+					}
+					var res []*RunStats
+					if lanes == 1 {
+						cfg.StartFrom, cfg.InputSource = batch[0].StartFrom, src
+						stats, err := RunImage(img, cfg, chunk)
+						if err != nil {
+							t.Fatalf("chunk %d: %v", c, err)
+						}
+						res = []*RunStats{stats}
+					} else {
+						br, err := RunBatch(img, cfg, chunk, batch)
+						if err != nil {
+							t.Fatalf("chunk %d: %v", c, err)
+						}
+						res = br.Lanes
+					}
+					for l, stats := range res {
+						traces[l] = append(traces[l], stats.Trace...)
+						batch[l].StartFrom = stats.Final
+					}
+				}
+				for l, ref := range refs[:lanes] {
+					if !reflect.DeepEqual(traces[l], ref.Trace) {
+						t.Fatalf("lane %d: resumed trace has %d events, straight run %d (or differs)",
+							l, len(traces[l]), len(ref.Trace))
+					}
+					if !bytes.Equal(checkpointBytes(t, batch[l].StartFrom), checkpointBytes(t, ref.Final)) {
+						t.Fatalf("lane %d: final checkpoint differs from the straight run's", l)
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkpointBytes serializes cp the way a drained session writes it.
+func checkpointBytes(t *testing.T, cp *truenorth.Checkpoint) []byte {
+	t.Helper()
+	if cp == nil {
+		t.Fatal("missing checkpoint")
+	}
+	var buf bytes.Buffer
+	if err := coreobject.WriteCheckpoint(&buf, cp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestCheckpointSerialParallelPortability: serial snapshot restores into

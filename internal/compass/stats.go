@@ -179,9 +179,9 @@ type Imbalance struct {
 	// Sends is the max/mean ratio of messages sent per occupied rank.
 	Sends float64
 	// IdleRanks counts ranks owning no cores. Idle ranks are excluded
-	// from every ratio's mean: a partition that empties a rank (e.g.
-	// after a reshape) must not deflate the mean and mask a hotspot on
-	// the occupied ranks.
+	// from every ratio's mean: a placement that leaves a rank empty
+	// (an explicit RankOf may) must not deflate the mean and mask a
+	// hotspot on the occupied ranks.
 	IdleRanks int
 }
 

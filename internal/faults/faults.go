@@ -92,6 +92,11 @@ const (
 // Any matches every rank, tick, or destination in a Rule selector.
 const Any = -1
 
+// MaxK bounds a rule's K: one firing holds a message or stalls a rank
+// (uninterruptibly) for at most MaxK delay quanta, half a second at the
+// default quantum, and the hold cannot overflow.
+const MaxK = 1000
+
 // Rule arms one fault class at a set of decision points. Selector fields
 // use Any (-1) as a wildcard; Parse defaults every selector to Any, so
 // hand-built Rule literals must set them explicitly.
@@ -102,8 +107,8 @@ type Rule struct {
 	Rank int
 	Tick int64
 	Dest int
-	// K scales the fault: delay quanta for Delay and Stall. Values < 1
-	// are treated as 1.
+	// K scales the fault: delay quanta for Delay and Stall, at most
+	// MaxK. Values < 1 are treated as 1.
 	K int
 	// Attempts is how many leading send attempts a deterministic Drop
 	// rule discards (default 1: the first send drops, the retry
@@ -122,8 +127,17 @@ func (r Rule) validate() error {
 	if r.Class >= NumClasses {
 		return fmt.Errorf("faults: unknown class %d", r.Class)
 	}
-	if r.P < 0 || r.P > 1 {
-		return fmt.Errorf("faults: %s probability %v outside [0, 1]", r.Class, r.P)
+	if !(r.P >= 0 && r.P <= 1) { // NaN fails both
+		return fmt.Errorf("faults: %s p=%v outside [0, 1]", r.Class, r.P)
+	}
+	if r.K > MaxK {
+		return fmt.Errorf("faults: %s k=%d exceeds %d", r.Class, r.K, MaxK)
+	}
+	sel := [...]int64{int64(r.Rank), r.Tick, int64(r.Dest)}
+	for i, key := range [...]string{"rank", "tick", "dest"} {
+		if sel[i] < Any {
+			return fmt.Errorf("faults: %s %s=%d must be >= 0 (or %d for any)", r.Class, key, sel[i], Any)
+		}
 	}
 	if (r.Class == Stall || r.Class == Crash) && r.Dest != Any && r.Dest != 0 {
 		return fmt.Errorf("faults: %s is rank-scoped; dest selector not allowed", r.Class)

@@ -31,6 +31,8 @@ func TestParseGrammar(t *testing.T) {
 		{"drop:rank", false},
 		{"crash:dest=1", false},
 		{"stall:dest=2", false},
+		{"stall:rank=0,k=40", true},
+		{"drop:rank=-1,tick=-1,dest=-1", true},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.spec, 1)
@@ -41,6 +43,65 @@ func TestParseGrammar(t *testing.T) {
 			t.Errorf("Parse(%q): accepted", tc.spec)
 		}
 	}
+}
+
+// TestParseRejectsMisreadSpecs: each spec here would parse into a rule
+// that silently never fires or sleeps for hours; the error must name
+// the option at fault.
+func TestParseRejectsMisreadSpecs(t *testing.T) {
+	for spec, option := range map[string]string{
+		"drop:p=NaN":                  "p=NaN",
+		"stall:k=10000000":            "k=10000000",
+		"stall:k=9223372036854775807": "k=9223372036854775807",
+		"delay:k=1001":                "k=1001",
+		"crash:rank=-7":               "rank=-7",
+		"crash:tick=-2":               "tick=-2",
+		"drop:dest=-3":                "dest=-3",
+	} {
+		_, err := Parse(spec, 1)
+		if err == nil || !strings.Contains(err.Error(), option) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", spec, err, option)
+		}
+	}
+	if _, err := New(1, Rule{Class: Stall, Rank: Any, Tick: Any, Dest: Any, K: MaxK + 1}); err == nil {
+		t.Error("New accepted a rule with K above MaxK")
+	}
+}
+
+// FuzzParseFaults: a -faults spec also arrives over HTTP, in a create
+// request. Whatever Parse accepts must hold validated rules only, and
+// no firing may hold a message or stall a rank for more than MaxK delay
+// quanta, or for a negative time.
+func FuzzParseFaults(f *testing.F) {
+	for _, spec := range []string{
+		"drop", "dup;delay:k=3", "stall:rank=0,k=40", "crash:rank=1,tick=50",
+		"drop:rank=1,p=0.5;crash:rank=2,tick=100", "drop:attempts=9",
+		"drop:p=NaN", "stall:k=9223372036854775807", "crash:rank=-7",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		bound := MaxK * in.quantum()
+		for _, r := range in.rules {
+			if err := r.validate(); err != nil {
+				t.Fatalf("Parse(%q) accepted an invalid rule: %v", spec, err)
+			}
+			// Probe each rule at its own selector, wildcards at 0.
+			rank, tick, dest := max(r.Rank, 0), uint64(max(r.Tick, 0)), max(r.Dest, 0)
+			if d := in.Stall(rank, tick); d < 0 || d > bound {
+				t.Fatalf("Parse(%q): stall of %v", spec, d)
+			}
+			for attempt := 0; attempt < in.SendAttempts(); attempt++ {
+				if _, d := in.Send(rank, tick, dest, attempt); d < 0 || d > bound {
+					t.Fatalf("Parse(%q): message held %v", spec, d)
+				}
+			}
+		}
+	})
 }
 
 func TestNilAndEmptyInjectorInert(t *testing.T) {

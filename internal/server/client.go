@@ -28,6 +28,10 @@ func NewClient(addr string, timeout time.Duration) *Client {
 	return &Client{addr: addr, hc: &http.Client{Timeout: timeout}}
 }
 
+// CloseIdleConnections closes the client's idle keep-alive connections
+// (those of the process-wide default transport it dials through).
+func (c *Client) CloseIdleConnections() { c.hc.CloseIdleConnections() }
+
 // StatusError is a non-2xx control-plane reply: the request it answers
 // ("POST host:port/v1/sessions"), the HTTP status, and the message of
 // the {"error": …} envelope (the status line when there is none).

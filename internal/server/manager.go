@@ -10,7 +10,6 @@ import (
 	sim "github.com/cognitive-sim/compass/internal/compass"
 	"github.com/cognitive-sim/compass/internal/modelcache"
 	"github.com/cognitive-sim/compass/internal/perfmodel"
-	"github.com/cognitive-sim/compass/internal/reshape"
 	"github.com/cognitive-sim/compass/internal/telemetry"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 	"github.com/cognitive-sim/compass/internal/workpool"
@@ -84,18 +83,6 @@ type ManagerOptions struct {
 	// GOMAXPROCS extras for the whole daemon; negative means unlimited
 	// (the pre-batching behavior: every run sizes its own pools).
 	MaxExtraWorkers int
-	// ReshapeThreshold enables automatic elastic repartitioning: when a
-	// chunk's Compute imbalance (max/mean synaptic events over occupied
-	// ranks) reaches this ratio at a chunk boundary, the session's
-	// placement is rebalanced from the chunk's own telemetry and the run
-	// resumes on the new layout. Zero (the default) disables reshaping;
-	// spike output is bit-identical either way.
-	ReshapeThreshold float64
-	// ReshapeInterval is the minimum number of chunk boundaries between
-	// consecutive reshapes of one session (and before its first), so
-	// telemetry re-accumulates on a new placement before it is judged
-	// again. Values below 1 mean every boundary is eligible.
-	ReshapeInterval int
 }
 
 func (o *ManagerOptions) withDefaults() ManagerOptions {
@@ -168,7 +155,6 @@ type Manager struct {
 	mCreated   telemetry.Counter
 	mRejected  telemetry.Counter
 	mCompleted telemetry.Counter
-	mReshapes  telemetry.Counter
 	gRunning   telemetry.Gauge
 	gQueued    telemetry.Gauge
 	gUsed      telemetry.Gauge
@@ -205,8 +191,6 @@ func NewManager(opts ManagerOptions) *Manager {
 			"sessions rejected by admission control"),
 		mCompleted: reg.Counter("compassd_sessions_completed_total",
 			"sessions that reached a terminal state"),
-		mReshapes: reg.Counter("compassd_reshapes_total",
-			"elastic repartitions applied at chunk boundaries"),
 		gRunning: reg.Gauge("compassd_sessions_running",
 			"sessions currently running or paused"),
 		gQueued: reg.Gauge("compassd_sessions_queued",
@@ -455,12 +439,6 @@ func (m *Manager) Create(p CreateParams) (*Session, error) {
 	s.rtt = rtt
 	s.source.onInject = rtt.noteInject
 	s.sink.onEmit = rtt.noteEgress
-	s.reshapePolicy = reshape.Policy{Threshold: m.opts.ReshapeThreshold, Interval: m.opts.ReshapeInterval}
-	s.onReshape = m.noteReshape
-	gImb := m.reg.Gauge("compassd_session_compute_imbalance",
-		"latest chunk's Compute imbalance (max/mean synaptic events over occupied ranks), per session",
-		telemetry.Label{Key: "session", Value: id})
-	s.gImbalance = &gImb
 
 	m.mu.Lock()
 	m.sessions[id] = s
@@ -530,31 +508,17 @@ func (m *Manager) startLocked(s *Session) bool {
 	}
 	ref.refs++
 	m.memUsed += s.img.StateBytes()
-	m.joinGroupLocked(s, s.cfg)
-	go s.run()
-	return true
-}
-
-// joinGroupLocked routes s to the batch group for decomposition cfg,
-// founding it when s is the first member and leaving any group s was in
-// before. With fault injection armed (a fault plan belongs to one
-// session), the group is private: keyed by the session's own ID so
-// nobody else ever joins it. Callers hold mu.
-func (m *Manager) joinGroupLocked(s *Session, cfg sim.Config) {
-	key := batchKey(s.img, cfg)
-	private := cfg.Faults != nil
+	// With fault injection armed (a fault plan belongs to one session),
+	// the group is private: keyed by the session's own ID so nobody else
+	// ever joins it.
+	key := batchKey(s.img, s.cfg)
+	private := s.cfg.Faults != nil
 	if private {
 		key += "|" + s.ID
 	}
-	if old := s.group; old != nil {
-		if old.key == key {
-			return
-		}
-		m.leaveGroupLocked(old)
-	}
 	g := m.groups[key]
 	if g == nil {
-		g = newBatchGroup(key, s.img, cfg)
+		g = newBatchGroup(key, s.img, s.cfg)
 		if private {
 			g.private = true
 			g.cfg.Telemetry = s.tel
@@ -567,16 +531,11 @@ func (m *Manager) joinGroupLocked(s *Session, cfg sim.Config) {
 	g.refs++
 	// Under the session lock: a queued session promoted here can have
 	// its Info read concurrently.
-	s.setGroup(g)
-}
-
-// leaveGroupLocked drops one member of g, retiring the group with its
-// last one. Callers hold mu.
-func (m *Manager) leaveGroupLocked(g *batchGroup) {
-	g.refs--
-	if g.refs <= 0 {
-		delete(m.groups, g.key)
-	}
+	s.mu.Lock()
+	s.group = g
+	s.mu.Unlock()
+	go s.run()
+	return true
 }
 
 // batchWindow and batchWindowDone maintain the batch occupancy gauge
@@ -623,7 +582,10 @@ func (m *Manager) release(s *Session) {
 			}
 		}
 	}
-	m.leaveGroupLocked(s.group)
+	s.group.refs--
+	if s.group.refs <= 0 {
+		delete(m.groups, s.group.key)
+	}
 	if m.memUsed < 0 {
 		m.memUsed = 0
 	}

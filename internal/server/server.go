@@ -45,9 +45,12 @@ type Server struct {
 
 	httpLn   net.Listener
 	streamLn net.Listener
-	httpSrv  *http.Server
+	httpSrv  *HTTPServer
 	wg       sync.WaitGroup
 	started  time.Time
+
+	// handshaking holds the stream connections yet to send a handshake.
+	handshaking unusedConns
 
 	mu         sync.Mutex
 	streamAddr string
@@ -103,7 +106,7 @@ func (srv *Server) Start() error {
 	srv.streamAddr = streamLn.Addr().String()
 	srv.mu.Unlock()
 
-	srv.httpSrv = &http.Server{Handler: srv.handler()}
+	srv.httpSrv = NewHTTPServer(srv.handler())
 	srv.wg.Add(1)
 	go srv.acceptStreams(streamLn)
 	go srv.httpSrv.Serve(httpLn)
@@ -131,13 +134,16 @@ func (srv *Server) StreamAddr() string {
 // Shutdown gracefully stops the server: listeners close, every session
 // drains to its next chunk boundary, and each drained session's
 // checkpoint is written to CheckpointDir as <id>.ckpt. The ctx bounds
-// the HTTP server's connection drain; session draining always runs to
-// completion so no simulated state is lost.
+// the wait for HTTP requests in flight. A connection on either plane
+// that has sent no request or handshake is closed after
+// UnusedConnGrace. Session draining always runs to completion so no
+// simulated state is lost.
 func (srv *Server) Shutdown(ctx context.Context) error {
 	var firstErr error
 	if srv.streamLn != nil {
 		srv.streamLn.Close()
 	}
+	defer time.AfterFunc(UnusedConnGrace, srv.handshaking.closeAll).Stop()
 	if srv.httpSrv != nil {
 		if err := srv.httpSrv.Shutdown(ctx); err != nil && firstErr == nil {
 			firstErr = err
@@ -182,4 +188,75 @@ func writeCheckpointFile(dir string, s *Session) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// UnusedConnGrace is how long a shutdown lets a connection that has
+// sent nothing yet start a request or a stream handshake before it
+// closes the connection. net/http counts such a connection as active
+// for 5 s, and the stream plane waits StreamHandshakeTimeout for one.
+const UnusedConnGrace = 100 * time.Millisecond
+
+// unusedConns is a set of connections that have sent nothing yet.
+// closeAll closes them, and every one added after it.
+type unusedConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	closed bool
+}
+
+func (u *unusedConns) add(c net.Conn) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		c.Close()
+		return
+	}
+	if u.conns == nil {
+		u.conns = make(map[net.Conn]bool)
+	}
+	u.conns[c] = true
+}
+
+func (u *unusedConns) remove(c net.Conn) {
+	u.mu.Lock()
+	delete(u.conns, c)
+	u.mu.Unlock()
+}
+
+func (u *unusedConns) closeAll() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.closed = true
+	for c := range u.conns {
+		c.Close()
+	}
+}
+
+// HTTPServer is the control plane's http.Server, the daemon's and the
+// coordinator's: its Shutdown closes the connections that have sent no
+// request UnusedConnGrace after it begins.
+type HTTPServer struct {
+	http.Server
+	unused unusedConns
+}
+
+// NewHTTPServer returns an HTTPServer serving h.
+func NewHTTPServer(h http.Handler) *HTTPServer {
+	hs := &HTTPServer{}
+	hs.Handler = h
+	hs.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			hs.unused.add(c)
+		} else {
+			hs.unused.remove(c)
+		}
+	}
+	return hs
+}
+
+// Shutdown is http.Server.Shutdown: ctx bounds the wait for requests in
+// flight.
+func (hs *HTTPServer) Shutdown(ctx context.Context) error {
+	defer time.AfterFunc(UnusedConnGrace, hs.unused.closeAll).Stop()
+	return hs.Server.Shutdown(ctx)
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -518,6 +519,46 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if !second.WaitState(60*time.Second, func(st State) bool { return st == StateDone }) {
 		t.Fatalf("promoted session state %s, want done (err %v)", second.State(), second.Err())
+	}
+}
+
+// TestShutdownClosesUnusedConn: a connection that has sent no request
+// or stream handshake must not hold Shutdown, however long ctx allows;
+// net/http alone waits 5 s for one, the stream plane 10 s.
+func TestShutdownClosesUnusedConn(t *testing.T) {
+	srv := New(Options{HTTPAddr: "127.0.0.1:0", StreamAddr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{srv.HTTPAddr(), srv.StreamAddr()} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+	}
+	// Connections are accepted in arrival order: a request answered on
+	// a later one proves the unused HTTP one was accepted.
+	if err := NewClient(srv.HTTPAddr(), 10*time.Second).Do(http.MethodGet, "/healthz", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.handshaking.mu.Lock()
+		n := len(srv.handshaking.conns)
+		srv.handshaking.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the stream connection was never accepted")
+		}
+	}
+	began := time.Now()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took >= time.Second {
+		t.Fatalf("Shutdown took %v beside an unused connection", took)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	sim "github.com/cognitive-sim/compass/internal/compass"
-	"github.com/cognitive-sim/compass/internal/reshape"
 	"github.com/cognitive-sim/compass/internal/telemetry"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
@@ -108,7 +107,7 @@ type Session struct {
 
 	img        *truenorth.Image // immutable, possibly shared with other sessions
 	model      *truenorth.Model // view over the image's shared configuration
-	cfg        sim.Config       // base decomposition; per-chunk fields set by the runner
+	cfg        sim.Config       // decomposition, fixed at admission
 	ticksTotal uint64
 	chunk      int
 	cost       float64 // modelled seconds per tick, from admission control
@@ -147,15 +146,6 @@ type Session struct {
 	group     *batchGroup
 	batchLane int
 
-	// reshapePolicy decides, at every chunk boundary, whether the chunk's
-	// measured imbalance warrants repartitioning; onReshape tells the
-	// manager an applied reshape changed the decomposition (metrics,
-	// batch regrouping); gImbalance publishes each chunk's Compute
-	// imbalance. See reshape.go.
-	reshapePolicy reshape.Policy
-	onReshape     func(*Session, sim.Config)
-	gImbalance    *telemetry.Gauge
-
 	// inputTicks is the sorted multiset of model-scheduled input ticks,
 	// used to correct per-chunk DroppedInputs: every resumed chunk
 	// re-purges model inputs before its start tick, which would otherwise
@@ -167,20 +157,18 @@ type Session struct {
 	done   chan struct{}
 	onExit func(*Session)
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	state        State
-	pauseReq     bool
-	drainReq     bool
-	stepBudget   uint64 // ticks granted by StepTicks; 0 means free-running
-	started      bool
-	ticksDone    uint64
-	cp           *truenorth.Checkpoint
-	totals       Totals
-	runErr       error
-	created      time.Time
-	sinceReshape int
-	reshapes     []ReshapeEvent
+	mu         sync.Mutex
+	cond       *sync.Cond
+	state      State
+	pauseReq   bool
+	drainReq   bool
+	stepBudget uint64 // ticks granted by StepTicks; 0 means free-running
+	started    bool
+	ticksDone  uint64
+	cp         *truenorth.Checkpoint
+	totals     Totals
+	runErr     error
+	created    time.Time
 }
 
 // newSession builds a session in StateQueued against an immutable model
@@ -352,7 +340,6 @@ func (s *Session) run() {
 		if hook != nil {
 			hook(s)
 		}
-		s.maybeReshape(stats)
 	}
 }
 
@@ -548,13 +535,8 @@ func (s *Session) Model() *truenorth.Model { return s.model }
 // Image returns the session's immutable model image.
 func (s *Session) Image() *truenorth.Image { return s.img }
 
-// Cfg returns a copy of the session's base decomposition (the current
-// one when the session has reshaped).
-func (s *Session) Cfg() sim.Config {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg
-}
+// Cfg returns a copy of the session's decomposition, fixed at admission.
+func (s *Session) Cfg() sim.Config { return s.cfg }
 
 // TicksTotal returns the requested tick count; TicksDone the ticks
 // simulated so far by this session (excluding any pre-resume history).
@@ -621,15 +603,12 @@ type Info struct {
 	// BatchGroup identifies the shared batched tick loop the session's
 	// chunks ride (empty when the session's loop is private); BatchLane
 	// is the session's lane index in its most recent window.
-	BatchGroup string `json:"batch_group,omitempty"`
-	BatchLane  int    `json:"batch_lane,omitempty"`
-	// Reshapes lists every elastic repartition applied at a chunk
-	// boundary, oldest first (empty when the session never reshaped).
-	Reshapes    []ReshapeEvent `json:"reshapes,omitempty"`
-	Totals      Totals         `json:"totals"`
-	Injected    uint64         `json:"injected_spikes"`
-	Subscribers int            `json:"subscribers"`
-	StreamDrops uint64         `json:"stream_dropped_records"`
+	BatchGroup  string `json:"batch_group,omitempty"`
+	BatchLane   int    `json:"batch_lane,omitempty"`
+	Totals      Totals `json:"totals"`
+	Injected    uint64 `json:"injected_spikes"`
+	Subscribers int    `json:"subscribers"`
+	StreamDrops uint64 `json:"stream_dropped_records"`
 	// Scenario labels the closed-loop workload driving the session
 	// (empty for plain sessions); StreamRTT summarizes the session's
 	// inject→first-egress round trips.
@@ -674,7 +653,6 @@ func (s *Session) Info() Info {
 		st := s.rtt.stats()
 		info.StreamRTT = &st
 	}
-	info.Reshapes = append([]ReshapeEvent(nil), s.reshapes...)
 	if s.runErr != nil {
 		info.Error = s.runErr.Error()
 	}

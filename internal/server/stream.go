@@ -58,6 +58,7 @@ func (srv *Server) serveStreamConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(StreamHandshakeTimeout))
 	flags, id, err := ReadStreamHandshake(conn)
+	srv.handshaking.remove(conn)
 	if err != nil {
 		WriteStreamReject(conn, err)
 		return
@@ -266,6 +267,7 @@ func (srv *Server) acceptStreams(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		srv.handshaking.add(conn)
 		srv.wg.Add(1)
 		go func() {
 			defer srv.wg.Done()

@@ -23,22 +23,30 @@ var (
 	compassdRe = regexp.MustCompile(`(?:^|[\s/])compassd\s(.*)`)
 	testRef    = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-	flagDef    = regexp.MustCompile(`flag\.\w+\("([\w-]+)"`)
+	flagDef    = regexp.MustCompile(`\b(?:flag|fs)\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(?:Var)?\((?:&[\w.]+, *)?"([\w-]+)"`)
+	flagSpan   = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)$`)
 	mainClause = regexp.MustCompile(`(?m)^package main\b`)
 )
 
+// goToolFlags are the Go tool's flags the documents cite as a bare span.
+var goToolFlags = map[string]bool{"race": true}
+
 // docTree is what the documents' references are checked against: the
 // Test, Fuzz and Benchmark functions of every _test.go file under the
-// root, and the flags cmd/compassd defines.
+// root, the flags every package main under cmd/ and bench/ defines, and
+// those of cmd/compassd alone.
 type docTree struct {
 	root          string
 	tests         map[string]bool
+	flags         map[string]bool
 	compassdFlags map[string]bool
 }
 
 func loadDocTree(t *testing.T, root string) *docTree {
 	t.Helper()
-	tree := &docTree{root: root, tests: map[string]bool{}, compassdFlags: map[string]bool{"h": true, "help": true}}
+	// The flag package gives every program -h and -help.
+	tree := &docTree{root: root, tests: map[string]bool{}, flags: map[string]bool{"h": true, "help": true},
+		compassdFlags: map[string]bool{"h": true, "help": true}}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -46,24 +54,28 @@ func loadDocTree(t *testing.T, root string) *docTree {
 		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range testFunc.FindAllSubmatch(src, -1) {
-			tree.tests[string(m[1])] = true
+		rel, _ := filepath.Rel(root, path)
+		switch top, _, _ := strings.Cut(filepath.ToSlash(rel), "/"); {
+		case strings.HasSuffix(path, "_test.go"):
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				tree.tests[string(m[1])] = true
+			}
+		case (top == "cmd" || top == "bench") && mainClause.Match(src):
+			for _, m := range flagDef.FindAllSubmatch(src, -1) {
+				tree.flags[string(m[1])] = true
+				if filepath.Dir(rel) == filepath.Join("cmd", "compassd") {
+					tree.compassdFlags[string(m[1])] = true
+				}
+			}
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	src, err := os.ReadFile(filepath.Join(root, "cmd", "compassd", "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range flagDef.FindAllSubmatch(src, -1) {
-		tree.compassdFlags[string(m[1])] = true
 	}
 	return tree
 }
@@ -71,7 +83,9 @@ func loadDocTree(t *testing.T, root string) *docTree {
 // docCommandErrors lists the stale references in one document: a
 // `go run` of a directory that holds no main package, a backticked
 // cmd/, examples/ or internal/ path that matches nothing (a <stem> in
-// it is a wildcard), and, in code, a `compass <sub>` that names no
+// it is a wildcard), a backticked `-flag` or `--flag` span that no
+// package main under cmd/ or bench/ defines, and, in code, a
+// `compass <sub>` that names no
 // subcommand, a `compassd -<flag>` that cmd/compassd does not define
 // and a Test, Fuzz or Benchmark name that no _test.go defines.
 func (tree *docTree) docCommandErrors(name, text string) []string {
@@ -96,6 +110,9 @@ func (tree *docTree) docCommandErrors(name, text string) []string {
 		default:
 			for _, span := range codeSpan.FindAllString(line, -1) {
 				code = append(code, strings.Trim(span, "`"))
+				if m := flagSpan.FindStringSubmatch(strings.Trim(span, "`")); m != nil && !tree.flags[m[1]] && !goToolFlags[m[1]] {
+					errs = append(errs, name+": flag "+m[0]+" is defined by no program")
+				}
 				for _, m := range pathRef.FindAllStringSubmatch(span, -1) {
 					pattern := stemRef.ReplaceAllString(strings.TrimSuffix(m[1], "/..."), "*")
 					if hits, _ := filepath.Glob(filepath.Join(root, pattern)); len(hits) == 0 {
@@ -185,7 +202,8 @@ func isMainPackage(dir string) bool {
 
 // TestDocCommands holds the documents' references to the tree: each
 // `go run` target is a main package, each backticked cmd/, examples/
-// or internal/ path exists, each `compass <sub>` names a subcommand,
+// or internal/ path exists, each backticked `-flag` names a flag of a
+// program under cmd/ or bench/, each `compass <sub>` names a subcommand,
 // each `compassd -<flag>` a flag of cmd/compassd, and each test name
 // cited a test function. A planted stale reference must fail it.
 func TestDocCommands(t *testing.T) {
@@ -210,6 +228,7 @@ func TestDocCommands(t *testing.T) {
 		"`go test -race ./internal/reshape/...`",
 		"one file per transport, `internal/compass/transport_<name>.rs`",
 		"```\ncompassd -listen :7474 \\  # control plane\n         -reshape-threshold 1.5\n```",
+		"admission is bounded by `-capacity`",
 	} {
 		if len(tree.docCommandErrors("planted", planted)) == 0 {
 			t.Errorf("planted %q passed", planted)

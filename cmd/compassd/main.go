@@ -18,7 +18,7 @@
 //	POST   /v1/sessions/import         recreate a session from exported state
 //	GET    /v1/models/{hash}           serve a resident model image by content hash
 //	DELETE /v1/sessions/{id}           stop and remove
-//	GET    /healthz                    liveness + node identity + capacity
+//	GET    /healthz                    liveness + node identity + session counts
 //	GET    /metrics                    Prometheus text: server + every session's registry
 //
 // Data plane (length-prefixed binary frames on -stream-listen): see
@@ -72,7 +72,6 @@ func main() {
 		listen    = flag.String("listen", ":7474", "HTTP control-plane listen address")
 		stream    = flag.String("stream-listen", ":7475", "TCP stream data-plane listen address")
 		ckptDir   = flag.String("checkpoint-dir", "checkpoints", "directory for drained-session checkpoints at shutdown")
-		capacity  = flag.Float64("capacity", 1.0, "admission budget: summed modelled seconds/tick of running sessions")
 		maxRun    = flag.Int("max-sessions", 16, "maximum concurrently running sessions")
 		chunk     = flag.Int("chunk-ticks", 25, "default ticks per chunk (pause/checkpoint granularity)")
 		queueCap  = flag.Int("subscriber-queue", 65536, "per-subscriber egress queue capacity in records")
@@ -90,13 +89,12 @@ func main() {
 		advStream  = flag.String("advertise-stream-addr", "", "stream-plane address other nodes should dial (default: the bound -stream-listen address)")
 		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "coordinator: node heartbeat interval")
 		lapse      = flag.Int("lapse-factor", 4, "coordinator: heartbeat intervals without contact before a node is declared dead")
-		rebalance  = flag.Float64("rebalance-threshold", 0.3, "coordinator: utilization spread triggering rebalancing (<= 0 disables)")
 		drainAfter = flag.Duration("cluster-drain-timeout", 60*time.Second, "joined daemon: bound on coordinator-driven migration of local sessions at SIGTERM")
 	)
 	flag.Parse()
 
 	if *coordMode {
-		runCoordinator(*listen, *stream, *addrFile, *heartbeat, *lapse, *rebalance)
+		runCoordinator(*listen, *stream, *addrFile, *heartbeat, *lapse)
 		return
 	}
 
@@ -116,13 +114,12 @@ func main() {
 		AdvertiseHTTPAddr:   *advertise,
 		AdvertiseStreamAddr: *advStream,
 		Manager: server.ManagerOptions{
-			CapacitySecondsPerTick: *capacity,
-			MaxRunning:             *maxRun,
-			ChunkTicks:             *chunk,
-			SubscriberQueue:        *queueCap,
-			ModelCacheBytes:        *cacheB,
-			MemoryBudgetBytes:      *memB,
-			MaxExtraWorkers:        *workers,
+			MaxRunning:        *maxRun,
+			ChunkTicks:        *chunk,
+			SubscriberQueue:   *queueCap,
+			ModelCacheBytes:   *cacheB,
+			MemoryBudgetBytes: *memB,
+			MaxExtraWorkers:   *workers,
 		},
 	})
 	if err := srv.Start(); err != nil {
@@ -167,13 +164,12 @@ func main() {
 }
 
 // runCoordinator serves the cluster control plane until SIGINT/SIGTERM.
-func runCoordinator(listen, stream, addrFile string, heartbeat time.Duration, lapse int, rebalance float64) {
+func runCoordinator(listen, stream, addrFile string, heartbeat time.Duration, lapse int) {
 	c := cluster.NewCoordinator(cluster.Options{
-		HTTPAddr:           listen,
-		StreamAddr:         stream,
-		HeartbeatInterval:  heartbeat,
-		LapseFactor:        lapse,
-		RebalanceThreshold: rebalance,
+		HTTPAddr:          listen,
+		StreamAddr:        stream,
+		HeartbeatInterval: heartbeat,
+		LapseFactor:       lapse,
 	})
 	if err := c.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "compassd: coordinator:", err)

@@ -83,7 +83,6 @@ func (a *Agent) register() (time.Duration, error) {
 		NodeID:       a.srv.NodeID(),
 		HTTPAddr:     a.srv.AdvertiseHTTPAddr(),
 		StreamAddr:   a.srv.AdvertiseStreamAddr(),
-		Capacity:     a.srv.Manager().Capacity(),
 		MemoryBudget: a.srv.Manager().MemoryBudget(),
 	}
 	var resp RegisterResponse
@@ -130,7 +129,6 @@ func (a *Agent) heartbeat() error {
 	}
 	hb := &Heartbeat{
 		NodeID:   a.srv.NodeID(),
-		Used:     mgr.UsedCapacity(),
 		MemUsed:  mgr.MemoryUsed(),
 		Resident: mgr.ResidentImageHashes(),
 		Running:  running,

@@ -95,17 +95,15 @@ func modelRequest(t *testing.T, m *truenorth.Model, transport string, ticks uint
 	}
 }
 
-func startNode(t *testing.T, id string) *server.Server {
+// startNode starts a daemon; memoryBudget is its MemoryBudgetBytes (0
+// = unlimited).
+func startNode(t *testing.T, id string, memoryBudget int64) *server.Server {
 	t.Helper()
 	srv := server.New(server.Options{
 		HTTPAddr:   "127.0.0.1:0",
 		StreamAddr: "127.0.0.1:0",
 		NodeID:     id,
-		Manager: server.ManagerOptions{
-			CapacitySecondsPerTick: 1e9,
-			MaxRunning:             32,
-			ChunkTicks:             10,
-		},
+		Manager:    server.ManagerOptions{MaxRunning: 32, ChunkTicks: 10, MemoryBudgetBytes: memoryBudget},
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -185,7 +183,12 @@ func newTestCluster(t *testing.T, opts Options) *testCluster {
 
 func (tc *testCluster) addNode(id string) *server.Server {
 	tc.t.Helper()
-	srv := startNode(tc.t, id)
+	return tc.join(id, startNode(tc.t, id, 0))
+}
+
+// join registers a started daemon with the coordinator through an agent.
+func (tc *testCluster) join(id string, srv *server.Server) *server.Server {
+	tc.t.Helper()
 	a, err := StartAgent(tc.coord.HTTPAddr(), srv)
 	if err != nil {
 		tc.t.Fatal(err)
@@ -304,7 +307,7 @@ func (tc *testCluster) driver(id string) *sessionDriver {
 
 func newSoloDriver(t *testing.T, name string, req *server.CreateRequest) *sessionDriver {
 	t.Helper()
-	srv := startNode(t, name)
+	srv := startNode(t, name, 0)
 	ctl := server.NewClient(srv.HTTPAddr(), 60*time.Second)
 	info, err := ctl.Create(req)
 	if err != nil {
@@ -749,7 +752,7 @@ func TestStepRightAfterProxyHandshake(t *testing.T) {
 		}
 	}
 
-	solo := startNode(t, "solo")
+	solo := startNode(t, "solo", 0)
 	want := firstWindow(server.NewClient(solo.HTTPAddr(), time.Minute), solo.StreamAddr())
 	if len(want) == 0 {
 		t.Fatal("reference window carries no egress; the test model is too quiet to prove anything")
@@ -871,7 +874,7 @@ func TestDrainNode(t *testing.T) {
 
 // TestPlacementAffinity checks that a session whose source resolved to
 // an already-resident model image co-locates with it, while a
-// different model lands on the emptier node.
+// different model lands on the node hosting fewer cluster sessions.
 func TestPlacementAffinity(t *testing.T) {
 	tc := newTestCluster(t, Options{})
 	tc.addNode("n1")
@@ -889,12 +892,14 @@ func TestPlacementAffinity(t *testing.T) {
 		t.Fatalf("placement reason %q, want model-affinity", st2.Placement)
 	}
 
-	// Let a heartbeat report the load so placement sees the imbalance,
-	// then place a different model: least-utilized goes to the other node.
-	time.Sleep(4 * tc.coord.opts.HeartbeatInterval)
+	// A different model goes to the node hosting fewer sessions; the
+	// coordinator counts its own placements, so no heartbeat is needed.
 	st3 := tc.create(modelRequest(t, testModel(4, 6200), "shmem", 40, ""))
 	if st3.Node == st1.Node {
 		t.Fatalf("different-model session stacked on loaded node %s", st3.Node)
+	}
+	if !strings.Contains(st3.Placement, "fewest-sessions") {
+		t.Fatalf("placement reason %q, want fewest-sessions", st3.Placement)
 	}
 }
 
@@ -989,14 +994,20 @@ func TestClusterOnlySurface(t *testing.T) {
 	_, err = tc.ctl.Export(created.ID)
 	wantStatus("relayed export", err, http.StatusNotFound)
 
-	// No node can host a session that costs more than any node's whole
-	// capacity: the fleet is over capacity, as a full daemon would be.
+	// A node whose memory budget is below the session refuses it and the
+	// owner's 429 is relayed; with that node draining, no node is
+	// eligible and the fleet answers 429 as a full daemon would.
 	tiny := newTestCluster(t, Options{})
-	if err := tiny.coord.register(&RegisterRequest{NodeID: "small", HTTPAddr: "127.0.0.1:1", Capacity: 1e-12}); err != nil {
-		t.Fatal(err)
+	tiny.join("small", startNode(t, "small", 1))
+	for _, want := range []string{"memory budget", ErrNoEligibleNode.Error()} {
+		_, err = tiny.ctl.Create(modelRequest(t, testModel(4, 8100), "shmem", 30, ""))
+		if wantStatus(want, err, http.StatusTooManyRequests); !strings.Contains(err.Error(), want) {
+			t.Fatalf("create: %v, want %q", err, want)
+		}
+		if _, _, err := tiny.coord.DrainNode("small"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, err = tiny.ctl.Create(modelRequest(t, testModel(4, 8100), "shmem", 30, ""))
-	wantStatus("create with no eligible node", err, http.StatusTooManyRequests)
 
 	// Deleting removes the record and the owner-side session; the status
 	// view of an ended session outlives the owner's copy.

@@ -25,13 +25,6 @@ type Options struct {
 	// dead and its sessions are restored elsewhere. Defaults: 2s, 4.
 	HeartbeatInterval time.Duration
 	LapseFactor       int
-	// RebalanceThreshold is the utilization spread (hottest minus
-	// coolest node, as a fraction of capacity) that, sustained for
-	// RebalanceRounds monitor rounds, triggers one migration from the
-	// hottest node to the coolest. <= 0 disables rebalancing.
-	// Defaults: 0.3, 3.
-	RebalanceThreshold float64
-	RebalanceRounds    int
 	// MaxRestores caps failover attempts per session before it is
 	// marked failed for good. Default 3.
 	MaxRestores int
@@ -50,12 +43,6 @@ func (o *Options) withDefaults() Options {
 	if out.LapseFactor <= 0 {
 		out.LapseFactor = 4
 	}
-	if out.RebalanceThreshold == 0 {
-		out.RebalanceThreshold = 0.3
-	}
-	if out.RebalanceRounds <= 0 {
-		out.RebalanceRounds = 3
-	}
 	if out.MaxRestores <= 0 {
 		out.MaxRestores = 3
 	}
@@ -73,13 +60,11 @@ type node struct {
 	id           string
 	httpAddr     string
 	streamAddr   string
-	capacity     float64
 	memoryBudget int64
 	client       *server.Client
 
 	// All below are guarded by the coordinator's mu.
 	lastSeen time.Time
-	used     float64
 	memUsed  int64
 	resident map[string]bool
 	running  int
@@ -144,8 +129,6 @@ type Coordinator struct {
 	nodes map[string]*node
 	recs  map[string]*rec
 	next  int
-
-	imbalanceFor int // consecutive monitor rounds over the threshold
 
 	// ownerTransport carries the session proxy's requests to the nodes.
 	// Every step of every session crosses it, so it keeps more idle
@@ -236,14 +219,10 @@ func (c *Coordinator) register(req *RegisterRequest) error {
 		id:           req.NodeID,
 		httpAddr:     req.HTTPAddr,
 		streamAddr:   req.StreamAddr,
-		capacity:     req.Capacity,
 		memoryBudget: req.MemoryBudget,
 		client:       server.NewClient(req.HTTPAddr, c.opts.NodeTimeout),
 		lastSeen:     time.Now(),
 		resident:     make(map[string]bool),
-	}
-	if n.capacity <= 0 {
-		n.capacity = 1.0
 	}
 	c.mu.Lock()
 	prev := c.nodes[req.NodeID]
@@ -252,7 +231,7 @@ func (c *Coordinator) register(req *RegisterRequest) error {
 	if prev != nil {
 		c.logf("node %s re-registered at %s (was %s)", req.NodeID, req.HTTPAddr, prev.httpAddr)
 	} else {
-		c.logf("node %s registered at %s (capacity %.3g s/tick)", req.NodeID, req.HTTPAddr, n.capacity)
+		c.logf("node %s registered at %s", req.NodeID, req.HTTPAddr)
 	}
 	return nil
 }
@@ -274,7 +253,6 @@ func (c *Coordinator) heartbeat(hb *Heartbeat) error {
 		return fmt.Errorf("cluster: node %q was declared dead (re-register)", hb.NodeID)
 	}
 	n.lastSeen = time.Now()
-	n.used = hb.Used
 	n.memUsed = hb.MemUsed
 	n.running = hb.Running
 	n.queued = hb.Queued
@@ -572,8 +550,7 @@ func (c *Coordinator) aliveNodesLocked() []*node {
 }
 
 // monitor is the coordinator's periodic sweep: detect dead nodes and
-// restore their sessions, and trigger rebalancing on sustained
-// imbalance.
+// restore their sessions.
 func (c *Coordinator) monitor() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.opts.HeartbeatInterval)
@@ -585,7 +562,6 @@ func (c *Coordinator) monitor() {
 		case <-t.C:
 		}
 		c.sweepDead()
-		c.maybeRebalance()
 	}
 }
 
@@ -614,66 +590,6 @@ func (c *Coordinator) sweepDead() {
 	}
 	for _, r := range orphans {
 		go c.restore(r, "node heartbeats lapsed")
-	}
-}
-
-// maybeRebalance migrates one session from the hottest to the coolest
-// node when the utilization spread stays above the threshold for the
-// configured number of rounds.
-func (c *Coordinator) maybeRebalance() {
-	if c.opts.RebalanceThreshold <= 0 {
-		return
-	}
-	c.mu.Lock()
-	alive := c.aliveNodesLocked()
-	if len(alive) < 2 {
-		c.imbalanceFor = 0
-		c.mu.Unlock()
-		return
-	}
-	var hot, cool *node
-	for _, n := range alive {
-		if n.draining {
-			continue
-		}
-		if hot == nil || n.used/n.capacity > hot.used/hot.capacity {
-			hot = n
-		}
-		if cool == nil || n.used/n.capacity < cool.used/cool.capacity {
-			cool = n
-		}
-	}
-	if hot == nil || cool == nil || hot == cool ||
-		hot.used/hot.capacity-cool.used/cool.capacity < c.opts.RebalanceThreshold {
-		c.imbalanceFor = 0
-		c.mu.Unlock()
-		return
-	}
-	c.imbalanceFor++
-	if c.imbalanceFor < c.opts.RebalanceRounds {
-		c.mu.Unlock()
-		return
-	}
-	c.imbalanceFor = 0
-	// Move the cheapest migratable session off the hot node — the
-	// smallest step that closes the gap without thrashing.
-	var pick *rec
-	for _, r := range c.recs {
-		if r.nodeID != hot.id || r.ended || r.migrating {
-			continue
-		}
-		if pick == nil || r.clusterID < pick.clusterID {
-			pick = r
-		}
-	}
-	hotID, coolID := hot.id, cool.id
-	c.mu.Unlock()
-	if pick == nil {
-		return
-	}
-	c.logf("rebalancing: moving %s from %s to %s", pick.clusterID, hotID, coolID)
-	if _, err := c.Migrate(pick.clusterID, coolID); err != nil {
-		c.logf("rebalance of %s failed: %v", pick.clusterID, err)
 	}
 }
 

@@ -25,15 +25,10 @@ import (
 // /v1/cluster/ holds only what a daemon has no counterpart for: fleet
 // membership, checkpoint pushes, the SessionStatus view and migrate.
 
-// nodeStatusLocked builds a node's status document. Callers hold mu.
-func (c *Coordinator) nodeStatusLocked(n *node) NodeStatus {
+// nodeStatusLocked builds a node's status document; sessions is its
+// count of live cluster sessions. Callers hold mu.
+func (c *Coordinator) nodeStatusLocked(n *node, sessions int) NodeStatus {
 	lapse := time.Duration(c.opts.LapseFactor) * c.opts.HeartbeatInterval
-	sessions := 0
-	for _, r := range c.recs {
-		if r.nodeID == n.id && !r.ended {
-			sessions++
-		}
-	}
 	resident := make([]string, 0, len(n.resident))
 	for h := range n.resident {
 		resident = append(resident, h)
@@ -43,8 +38,6 @@ func (c *Coordinator) nodeStatusLocked(n *node) NodeStatus {
 		ID:           n.id,
 		HTTPAddr:     n.httpAddr,
 		StreamAddr:   n.streamAddr,
-		Capacity:     n.capacity,
-		Used:         n.used,
 		MemoryBudget: n.memoryBudget,
 		MemUsed:      n.memUsed,
 		Running:      n.running,
@@ -244,7 +237,7 @@ func (c *Coordinator) handler() http.Handler {
 		info, err := c.CreateSession(&req)
 		if err != nil {
 			// The owner's refusal keeps its status (400, 429); a fleet
-			// with no room is over capacity like a full daemon.
+			// with no node accepting sessions answers as a full daemon.
 			code := http.StatusBadRequest
 			var refused *server.StatusError
 			if errors.Is(err, ErrNoEligibleNode) {
@@ -307,9 +300,10 @@ func (c *Coordinator) handler() http.Handler {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
+		sessions := c.liveSessionsLocked()
 		out := make([]NodeStatus, 0, len(ids))
 		for _, id := range ids {
-			out = append(out, c.nodeStatusLocked(c.nodes[id]))
+			out = append(out, c.nodeStatusLocked(c.nodes[id], sessions[id]))
 		}
 		c.mu.Unlock()
 		server.WriteJSON(w, http.StatusOK, map[string]any{"nodes": out})

@@ -48,11 +48,10 @@ import (
 // CreateSession places a new session on the cluster and returns the
 // owner's session document under the session's cluster ID.
 func (c *Coordinator) CreateSession(req *server.CreateRequest) (*server.Info, error) {
-	cost := requestCost(req)
 	// Affinity: if an earlier session with the same source resolved to
 	// a model hash, prefer nodes holding that image.
 	hash := c.knownHashForSource(req)
-	n, reason, err := c.place(cost, hash, nil)
+	n, reason, err := c.place(hash, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +80,7 @@ func (c *Coordinator) CreateSession(req *server.CreateRequest) (*server.Info, er
 	n.resident[info.ModelHash] = true
 	c.mu.Unlock()
 	info.ID = clusterID
-	c.logf("session %s placed on %s (%s, %.3g s/tick)", clusterID, n.id, reason, cost)
+	c.logf("session %s placed on %s (%s)", clusterID, n.id, reason)
 	return info, nil
 }
 
@@ -157,7 +156,7 @@ func (c *Coordinator) Migrate(clusterID, target string) (*SessionStatus, error) 
 		}
 		reason = "requested"
 	} else {
-		dst, reason, err = c.place(exportCost(doc), doc.ModelHash, exclude)
+		dst, reason, err = c.place(doc.ModelHash, exclude)
 		if err != nil {
 			resumeErr := resumeBestEffort(src.client, r.nodeSessionID)
 			return nil, fmt.Errorf("%w%s", err, resumeErr)
@@ -363,7 +362,7 @@ func (c *Coordinator) restore(r *rec, cause string) {
 		return
 	}
 	exclude := map[string]bool{deadNode: true}
-	dst, _, err := c.place(exportCost(doc), doc.ModelHash, exclude)
+	dst, _, err := c.place(doc.ModelHash, exclude)
 	if err != nil {
 		c.logf("restore %s: no node available: %v", r.clusterID, err)
 		c.endSession(r, "failed", fmt.Sprintf("restore: %v", err))
@@ -408,7 +407,7 @@ func (c *Coordinator) restoreFresh(r *rec, deadNode, cause string) {
 	req.FaultSeed = 0
 	req.StartPaused = true
 	req.Placement = fmt.Sprintf("failover:fresh:%s:%s", cause, deadNode)
-	dst, _, err := c.place(requestCost(&req), r.modelHash, map[string]bool{deadNode: true})
+	dst, _, err := c.place(r.modelHash, map[string]bool{deadNode: true})
 	if err != nil {
 		c.endSession(r, "failed", fmt.Sprintf("restore: %v", err))
 		return

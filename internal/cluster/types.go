@@ -1,12 +1,11 @@
 // Package cluster scales compassd from one daemon to a fleet: a
 // coordinator tracks nodes through registration and heartbeats, places
-// new sessions with the same calibrated performance model single-node
-// admission uses (extended cluster-wide, with model-affinity so
-// same-model sessions co-locate and share images and batch groups),
-// and moves live sessions between nodes by checkpoint-based migration
-// — the determinism contract makes a migrated run bit-identical to an
-// unmigrated one. Migration is the one primitive behind three
-// behaviors: explicit rebalancing on sustained load imbalance, rolling
+// new sessions by model affinity (so same-model sessions co-locate and
+// share images and batch groups) and then on the node hosting the
+// fewest of its sessions, and moves live sessions between nodes by
+// checkpoint-based migration — the determinism contract makes a
+// migrated run bit-identical to an unmigrated one. Migration is the one
+// primitive behind three behaviors: explicit migrate requests, rolling
 // drains on SIGTERM, and failover when a node's heartbeats lapse,
 // restored from the boundary checkpoints its agent pushed.
 //
@@ -26,10 +25,8 @@ type RegisterRequest struct {
 	// HTTPAddr and StreamAddr are the node's advertised planes.
 	HTTPAddr   string `json:"http_addr"`
 	StreamAddr string `json:"stream_addr"`
-	// Capacity is the node's admission budget in modelled seconds per
-	// tick; MemoryBudget its resident-byte budget (0 = unlimited).
-	Capacity     float64 `json:"capacity_seconds_per_tick"`
-	MemoryBudget int64   `json:"memory_budget_bytes,omitempty"`
+	// MemoryBudget is the node's resident-byte budget (0 = unlimited).
+	MemoryBudget int64 `json:"memory_budget_bytes,omitempty"`
 }
 
 // RegisterResponse tells the node how often to heartbeat.
@@ -45,13 +42,12 @@ type SessionPulse struct {
 }
 
 // Heartbeat is a node's periodic liveness and load report. Beyond
-// liveness it carries the placement signals — used capacity, resident
-// model hashes — and a pulse per hosted session so the coordinator
+// liveness it carries the load it counts, the resident model hashes
+// (the placement affinity signal), and a pulse per hosted session so the coordinator
 // notices terminal states (and crash-faulted sessions needing
 // restoration) without polling.
 type Heartbeat struct {
 	NodeID   string         `json:"node_id"`
-	Used     float64        `json:"used_seconds_per_tick"`
 	MemUsed  int64          `json:"memory_used_bytes"`
 	Resident []string       `json:"resident_models,omitempty"`
 	Running  int            `json:"running"`
@@ -98,8 +94,6 @@ type NodeStatus struct {
 	ID           string   `json:"id"`
 	HTTPAddr     string   `json:"http_addr"`
 	StreamAddr   string   `json:"stream_addr"`
-	Capacity     float64  `json:"capacity_seconds_per_tick"`
-	Used         float64  `json:"used_seconds_per_tick"`
 	MemoryBudget int64    `json:"memory_budget_bytes,omitempty"`
 	MemUsed      int64    `json:"memory_used_bytes"`
 	Running      int      `json:"running"`

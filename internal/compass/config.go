@@ -180,6 +180,11 @@ type OutputSink interface {
 	Emit(rank int, t uint64, events []truenorth.SpikeEvent)
 }
 
+// MaxThreadsPerRank bounds Config.ThreadsPerRank: a Blue Gene/Q node
+// runs at most 64 hardware threads (16 cores, 4-way SMT), and every rank
+// allocates per-thread buffers before its first tick.
+const MaxThreadsPerRank = 64
+
 // Validate checks the configuration against a model.
 func (c *Config) Validate(m *truenorth.Model) error {
 	return c.validateCores(len(m.Cores))
@@ -196,8 +201,8 @@ func (c *Config) validateCores(numCores int) error {
 	if c.Ranks < 1 {
 		return fmt.Errorf("compass: %d ranks", c.Ranks)
 	}
-	if c.ThreadsPerRank < 1 {
-		return fmt.Errorf("compass: %d threads per rank", c.ThreadsPerRank)
+	if c.ThreadsPerRank < 1 || c.ThreadsPerRank > MaxThreadsPerRank {
+		return fmt.Errorf("compass: %d threads per rank (want 1 to %d)", c.ThreadsPerRank, MaxThreadsPerRank)
 	}
 	if c.Transport != TransportMPI && c.Transport != TransportPGAS && c.Transport != TransportShmem {
 		return fmt.Errorf("compass: unknown transport %d", c.Transport)
@@ -211,6 +216,15 @@ func (c *Config) validateCores(numCores int) error {
 	if c.Telemetry != nil && c.Telemetry.Registry().Shards() < c.Ranks {
 		return fmt.Errorf("compass: telemetry built for %d shards, run has %d ranks",
 			c.Telemetry.Registry().Shards(), c.Ranks)
+	}
+	// A selector past the rank count would never fire.
+	for _, r := range c.Faults.Rules() {
+		if r.Rank >= c.Ranks {
+			return fmt.Errorf("compass: fault %s rank=%d selects past the run's %d ranks", r.Class, r.Rank, c.Ranks)
+		}
+		if r.Dest >= c.Ranks {
+			return fmt.Errorf("compass: fault %s dest=%d selects past the run's %d ranks", r.Class, r.Dest, c.Ranks)
+		}
 	}
 	if c.RankOf != nil {
 		if len(c.RankOf) != numCores {

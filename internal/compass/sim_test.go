@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/cognitive-sim/compass/internal/faults"
 	"github.com/cognitive-sim/compass/internal/prng"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 )
@@ -112,6 +113,10 @@ func serialWindow(t *testing.T, m *truenorth.Model, from, ticks int, src InputSo
 
 func TestConfigValidate(t *testing.T) {
 	m := randomModel(4, 1)
+	crashPastRanks, err := faults.Parse("crash:rank=2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -125,6 +130,8 @@ func TestConfigValidate(t *testing.T) {
 		{"short placement", Config{Ranks: 2, ThreadsPerRank: 1, RankOf: []int{0}}, false},
 		{"placement out of range", Config{Ranks: 2, ThreadsPerRank: 1, RankOf: []int{0, 1, 2, 0}}, false},
 		{"valid placement", Config{Ranks: 2, ThreadsPerRank: 1, RankOf: []int{1, 0, 1, 0}}, true},
+		{"fault rank past the ranks", Config{Ranks: 2, ThreadsPerRank: 1, Faults: crashPastRanks}, false},
+		{"threads over the bound", Config{Ranks: 1, ThreadsPerRank: MaxThreadsPerRank + 1}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate(m)

@@ -207,6 +207,14 @@ func (in *Injector) Active() bool {
 	return in != nil && len(in.rules) > 0
 }
 
+// Rules returns a copy of the injector's rules. Nil-safe.
+func (in *Injector) Rules() []Rule {
+	if in == nil {
+		return nil
+	}
+	return append([]Rule(nil), in.rules...)
+}
+
 // SendAttempts is the per-message send budget, defaults applied.
 func (in *Injector) SendAttempts() int {
 	if in == nil || in.MaxSendAttempts < 1 {

@@ -20,10 +20,7 @@ func startDaemon(t *testing.T) *server.Server {
 		HTTPAddr:   "127.0.0.1:0",
 		StreamAddr: "127.0.0.1:0",
 		NodeID:     "scenario-test",
-		Manager: server.ManagerOptions{
-			CapacitySecondsPerTick: 1e9,
-			MaxRunning:             32,
-		},
+		Manager:    server.ManagerOptions{MaxRunning: 32},
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -215,10 +212,7 @@ func startProxiedCluster(t *testing.T) string {
 			HTTPAddr:   "127.0.0.1:0",
 			StreamAddr: "127.0.0.1:0",
 			NodeID:     id,
-			Manager: server.ManagerOptions{
-				CapacitySecondsPerTick: 1e9,
-				MaxRunning:             32,
-			},
+			Manager:    server.ManagerOptions{MaxRunning: 32},
 		})
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)

@@ -37,10 +37,7 @@ func TestBatchedSessionsBitIdentical(t *testing.T) {
 	}
 	for _, tr := range sim.Transports() {
 		t.Run(tr.String(), func(t *testing.T) {
-			srv := startTestServer(t, ManagerOptions{
-				CapacitySecondsPerTick: 1e9,
-				ChunkTicks:             10,
-			})
+			srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 			mgr := srv.Manager()
 			cfg := sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: tr}
 
@@ -123,10 +120,7 @@ func TestBatchedSessionsBitIdentical(t *testing.T) {
 // references exactly. This is TestStreamInjectionEquivalence with the
 // lane actually batched alongside a sibling session.
 func TestBatchedStreamInjection(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{
-		CapacitySecondsPerTick: 1e9,
-		ChunkTicks:             10,
-	})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	mgr := srv.Manager()
 
 	const ticks = 60
@@ -221,7 +215,7 @@ func TestBatchedStreamInjection(t *testing.T) {
 // cache entry for as long as any running session holds the image, and
 // releases the pin when the last one exits.
 func TestImagePinnedWhileResident(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	mgr := srv.Manager()
 	cache := mgr.ModelCache()
 	model := testModel(4, 5)

@@ -71,7 +71,7 @@ func waitDone(t *testing.T, base, id string) {
 // session runs to completion, and all N share one image (one hash, and
 // the manager charges the image bytes once).
 func TestModelCacheSingleflight(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	base := "http://" + srv.HTTPAddr()
 
 	m := testModel(4, 91)
@@ -145,7 +145,7 @@ func TestModelCacheSingleflight(t *testing.T) {
 // CoreObject spec hit the cache the second time — admission of a cached
 // compiled model does not recompile.
 func TestSpecSourceCached(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	base := "http://" + srv.HTTPAddr()
 	spec := map[string]any{
 		"seed": 7,
@@ -202,7 +202,7 @@ func TestMemoryAdmissionSharedImage(t *testing.T) {
 	cfg := sim.Config{Ranks: 1, ThreadsPerRank: 1, Transport: sim.TransportShmem}
 
 	t.Run("shared image charged once", func(t *testing.T) {
-		mgr := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, MemoryBudgetBytes: budget, ChunkTicks: 5})
+		mgr := NewManager(ManagerOptions{MemoryBudgetBytes: budget, ChunkTicks: 5})
 		a, err := mgr.Create(CreateParams{Image: img, Cfg: cfg, Ticks: 1 << 40, StartPaused: true})
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestMemoryAdmissionSharedImage(t *testing.T) {
 	})
 
 	t.Run("private copies queue", func(t *testing.T) {
-		mgr := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, MemoryBudgetBytes: budget, ChunkTicks: 5})
+		mgr := NewManager(ManagerOptions{MemoryBudgetBytes: budget, ChunkTicks: 5})
 		a, err := mgr.Create(CreateParams{Model: m, Cfg: cfg, Ticks: 1 << 40, StartPaused: true})
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestMemoryAdmissionSharedImage(t *testing.T) {
 	})
 
 	t.Run("never fits rejects", func(t *testing.T) {
-		mgr := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, MemoryBudgetBytes: ib / 2, ChunkTicks: 5})
+		mgr := NewManager(ManagerOptions{MemoryBudgetBytes: ib / 2, ChunkTicks: 5})
 		if _, err := mgr.Create(CreateParams{Image: img, Cfg: cfg, Ticks: 10}); !errors.Is(err, ErrOverCapacity) {
 			t.Fatalf("oversized session error = %v, want ErrOverCapacity", err)
 		}

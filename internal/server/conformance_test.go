@@ -55,7 +55,7 @@ func startDaemon(t *testing.T, nodeID string) *server.Server {
 	t.Helper()
 	srv := server.New(server.Options{
 		HTTPAddr: "127.0.0.1:0", StreamAddr: "127.0.0.1:0", NodeID: nodeID,
-		Manager: server.ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10},
+		Manager: server.ManagerOptions{ChunkTicks: 10},
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -163,6 +163,7 @@ func TestSurfaceConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	noTicks := strings.Replace(string(create), `"ticks":40`, `"ticks":0`, 1)
+	faultPastRanks := strings.Replace(string(create), `"ticks":40`, `"ticks":40,"faults":"crash:rank=99"`, 1)
 
 	script := []exchange{
 		{name: "create start-paused", method: "POST", path: "/v1/sessions", body: string(create), want: 201, settle: "paused"},
@@ -188,6 +189,7 @@ func TestSurfaceConformance(t *testing.T) {
 		{name: "delete, unknown", method: "DELETE", path: "/v1/sessions/nope", want: 404},
 		{name: "create, malformed body", method: "POST", path: "/v1/sessions", body: `{`, want: 400},
 		{name: "create, no ticks", method: "POST", path: "/v1/sessions", body: noTicks, want: 400},
+		{name: "create, fault past the ranks", method: "POST", path: "/v1/sessions", body: faultPastRanks, want: 400},
 	}
 
 	var reference []answer

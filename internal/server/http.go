@@ -270,14 +270,8 @@ func (srv *Server) handler() http.Handler {
 			"node":             srv.NodeID(),
 			"advertise_http":   srv.AdvertiseHTTPAddr(),
 			"advertise_stream": srv.AdvertiseStreamAddr(),
-			"capacity": map[string]any{
-				"used_seconds_per_tick":  srv.mgr.UsedCapacity(),
-				"total_seconds_per_tick": srv.mgr.Capacity(),
-				"memory_used_bytes":      srv.mgr.MemoryUsed(),
-				"memory_budget_bytes":    srv.mgr.MemoryBudget(),
-			},
-			"resident_models": srv.mgr.ResidentImageHashes(),
-			"sessions":        map[string]int{"running": running, "queued": queued, "total": total},
+			"resident_models":  srv.mgr.ResidentImageHashes(),
+			"sessions":         map[string]int{"running": running, "queued": queued, "total": total},
 		})
 	})
 	mux.Handle("GET /metrics", MetricsHandler(srv.mgr.MetricsSnapshot))

@@ -9,56 +9,23 @@ import (
 
 	sim "github.com/cognitive-sim/compass/internal/compass"
 	"github.com/cognitive-sim/compass/internal/modelcache"
-	"github.com/cognitive-sim/compass/internal/perfmodel"
 	"github.com/cognitive-sim/compass/internal/telemetry"
 	"github.com/cognitive-sim/compass/internal/truenorth"
 	"github.com/cognitive-sim/compass/internal/workpool"
 )
 
-// ErrOverCapacity marks a session whose modelled cost exceeds the
-// server's entire configured capacity: no amount of queueing will ever
+// ErrOverCapacity marks a session whose image plus state bytes exceed
+// the daemon's whole memory budget: no amount of queueing will ever
 // admit it.
-var ErrOverCapacity = errors.New("server: session cost exceeds configured capacity")
+var ErrOverCapacity = errors.New("server: session exceeds the memory budget")
 
 // ErrNotFound marks an unknown session id.
 var ErrNotFound = errors.New("server: no such session")
 
-// EstimateCostPerTick prices one session in modelled seconds per
-// simulated tick using the calibrated Blue Gene/Q performance model
-// (internal/perfmodel) with the §VII synthetic workload assumptions
-// (10 Hz firing, 75% node-local traffic, 25% crossbar density). The
-// shmem transport has no machine-model projection, so it is priced as
-// MPI — the decompositions do the same compute, they differ only in the
-// Network phase's host mechanics.
-func EstimateCostPerTick(cores, ranks, threads int, transport sim.Transport) float64 {
-	if cores < 1 || ranks < 1 || threads < 1 {
-		return 0
-	}
-	coresPerNode := (cores + ranks - 1) / ranks
-	w, err := perfmodel.SyntheticUniform(ranks, coresPerNode, 10, 0.75, 0.25)
-	if err != nil {
-		return 0
-	}
-	if transport == sim.TransportShmem {
-		transport = sim.TransportMPI
-	}
-	pt, err := perfmodel.Project(perfmodel.BlueGeneQ(), w, threads, transport)
-	if err != nil {
-		return 0
-	}
-	return pt.Total()
-}
-
 // ManagerOptions configures admission control and session defaults.
 type ManagerOptions struct {
-	// CapacitySecondsPerTick is the admission budget: the sum of the
-	// modelled per-tick cost of all concurrently running sessions stays
-	// at or below it. Sessions costing more than the whole budget are
-	// rejected; sessions that merely don't fit right now are queued
-	// FIFO. Zero means 1.0 modelled seconds/tick.
-	CapacitySecondsPerTick float64
-	// MaxRunning caps concurrently running sessions regardless of cost.
-	// Zero means 16.
+	// MaxRunning caps concurrently running sessions; the rest queue
+	// FIFO. Zero means 16.
 	MaxRunning int
 	// ChunkTicks is the default per-chunk tick count: the granularity at
 	// which pause, checkpoint, and drain resolve. Zero means 25.
@@ -87,9 +54,6 @@ type ManagerOptions struct {
 
 func (o *ManagerOptions) withDefaults() ManagerOptions {
 	out := *o
-	if out.CapacitySecondsPerTick <= 0 {
-		out.CapacitySecondsPerTick = 1.0
-	}
 	if out.MaxRunning <= 0 {
 		out.MaxRunning = 16
 	}
@@ -122,7 +86,6 @@ type Manager struct {
 	sessions map[string]*Session
 	order    []string
 	queue    []*Session
-	used     float64
 	running  int
 	nextID   int
 	// images tracks every image held by at least one running session,
@@ -157,7 +120,6 @@ type Manager struct {
 	mCompleted telemetry.Counter
 	gRunning   telemetry.Gauge
 	gQueued    telemetry.Gauge
-	gUsed      telemetry.Gauge
 	gMemUsed   telemetry.Gauge
 	gBatchOcc  telemetry.Gauge
 	hBatchSwp  telemetry.Histogram
@@ -194,9 +156,7 @@ func NewManager(opts ManagerOptions) *Manager {
 		gRunning: reg.Gauge("compassd_sessions_running",
 			"sessions currently running or paused"),
 		gQueued: reg.Gauge("compassd_sessions_queued",
-			"sessions waiting for capacity"),
-		gUsed: reg.Gauge("compassd_capacity_used_seconds_per_tick",
-			"modelled per-tick cost of all running sessions"),
+			"sessions waiting for a slot or memory"),
 		gMemUsed: reg.Gauge("compassd_memory_used_bytes",
 			"resident bytes of all running sessions (shared images charged once)"),
 		gBatchOcc: reg.Gauge("compassd_batch_occupancy",
@@ -265,19 +225,6 @@ func (m *Manager) SetBoundaryHook(fn func(*Session)) {
 	m.boundary = fn
 	m.mu.Unlock()
 }
-
-// UsedCapacity returns the summed modelled per-tick cost of running
-// sessions (the admission gauge's value, for cluster heartbeats).
-func (m *Manager) UsedCapacity() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used
-}
-
-// Capacity returns the configured admission budget in modelled seconds
-// per tick; MemoryBudget the configured resident-byte budget (0 means
-// unlimited). Both feed cluster heartbeats and placement.
-func (m *Manager) Capacity() float64 { return m.opts.CapacitySecondsPerTick }
 
 // MemoryBudget returns the configured memory budget (0 = unlimited).
 func (m *Manager) MemoryBudget() int64 { return m.opts.MemoryBudgetBytes }
@@ -363,9 +310,9 @@ type CreateParams struct {
 	Scenario string
 }
 
-// Create admits a new session. The session starts immediately when
-// capacity allows, otherwise it queues FIFO. Create returns
-// ErrOverCapacity when the session could never run.
+// Create admits a new session. The session starts immediately when a
+// slot and memory allow, otherwise it queues FIFO. Create returns
+// ErrOverCapacity when the session could never fit the memory budget.
 func (m *Manager) Create(p CreateParams) (*Session, error) {
 	img := p.Image
 	if img == nil {
@@ -380,12 +327,6 @@ func (m *Manager) Create(p CreateParams) (*Session, error) {
 	}
 	if err := p.Cfg.ValidateImage(img); err != nil {
 		return nil, err
-	}
-	cost := EstimateCostPerTick(img.NumCores(), p.Cfg.Ranks, p.Cfg.ThreadsPerRank, p.Cfg.Transport)
-	if cost > m.opts.CapacitySecondsPerTick {
-		m.mRejected.Inc(0)
-		return nil, fmt.Errorf("%w: %.3gs/tick modelled vs %.3gs/tick budget",
-			ErrOverCapacity, cost, m.opts.CapacitySecondsPerTick)
 	}
 	if b := m.opts.MemoryBudgetBytes; b > 0 && img.ImageBytes()+img.StateBytes() > b {
 		m.mRejected.Inc(0)
@@ -404,7 +345,7 @@ func (m *Manager) Create(p CreateParams) (*Session, error) {
 	}
 	cfg := p.Cfg
 	cfg.Workers = m.limiter
-	s, err := newSession(id, p.Name, img, cfg, p.Ticks, chunk, cost, m.opts.SubscriberQueue, m.release)
+	s, err := newSession(id, p.Name, img, cfg, p.Ticks, chunk, m.opts.SubscriberQueue, m.release)
 	if err != nil {
 		return nil, err
 	}
@@ -465,10 +406,9 @@ func (m *Manager) memNeedLocked(s *Session) int64 {
 	return need
 }
 
-// canStartLocked checks slot, compute, and memory admission. Callers
-// hold mu.
+// canStartLocked checks slot and memory admission. Callers hold mu.
 func (m *Manager) canStartLocked(s *Session) bool {
-	if m.running >= m.opts.MaxRunning || m.used+s.cost > m.opts.CapacitySecondsPerTick {
+	if m.running >= m.opts.MaxRunning {
 		return false
 	}
 	if b := m.opts.MemoryBudgetBytes; b > 0 && m.memUsed+m.memNeedLocked(s) > b {
@@ -477,7 +417,7 @@ func (m *Manager) canStartLocked(s *Session) bool {
 	return true
 }
 
-// startLocked charges capacity and memory and launches the runner.
+// startLocked takes a slot, charges memory and launches the runner.
 // Image bytes are charged once per resident image — the second session
 // sharing an image only pays for its private runtime state. The first
 // session holding a cache-built image also pins its cache entry, and
@@ -488,14 +428,13 @@ func (m *Manager) canStartLocked(s *Session) bool {
 // The session's start claim is taken first: a queued session cancelled
 // concurrently (abortQueued holds only the session lock) can reach a
 // terminal state between a caller's state check and here, and charging
-// it would leak capacity forever since its runner — the only path to
+// it would leak its slot and memory forever since its runner — the only path to
 // release — never launches. startLocked reports whether it started the
 // session; false means it was already terminal and nothing was charged.
 func (m *Manager) startLocked(s *Session) bool {
 	if !s.beginStart() {
 		return false
 	}
-	m.used += s.cost
 	m.running++
 	ref := m.images[s.img]
 	if ref == nil {
@@ -560,16 +499,12 @@ func (m *Manager) batchWindowDone(lanes int, sweepSeconds float64) {
 	}
 }
 
-// release returns a finished session's capacity and memory and starts
+// release returns a finished session's slot and memory and starts
 // queued sessions that now fit. It is the session runner's exit
 // callback. The image charge is refunded only when the last session
 // sharing the image exits.
 func (m *Manager) release(s *Session) {
 	m.mu.Lock()
-	m.used -= s.cost
-	if m.used < 0 {
-		m.used = 0
-	}
 	m.running--
 	m.memUsed -= s.img.StateBytes()
 	if ref := m.images[s.img]; ref != nil {
@@ -595,10 +530,10 @@ func (m *Manager) release(s *Session) {
 	m.mu.Unlock()
 }
 
-// promoteLocked starts queued sessions in FIFO order while capacity
-// lasts, skipping sessions that were stopped while queued. A false
+// promoteLocked starts queued sessions in FIFO order while slots and
+// memory last, skipping sessions that were stopped while queued. A false
 // return from startLocked means the session terminalized after the
-// capacity check; it is dropped from the queue with nothing charged.
+// admission check; it is dropped from the queue with nothing charged.
 func (m *Manager) promoteLocked() {
 	keep := m.queue[:0]
 	for _, s := range m.queue {
@@ -620,7 +555,6 @@ func (m *Manager) promoteLocked() {
 func (m *Manager) refreshGaugesLocked() {
 	m.gRunning.Set(0, float64(m.running))
 	m.gQueued.Set(0, float64(len(m.queue)))
-	m.gUsed.Set(0, m.used)
 	m.gMemUsed.Set(0, float64(m.memUsed))
 }
 

@@ -150,11 +150,7 @@ func testContext(t *testing.T, d time.Duration) context.Context {
 // eight sessions, spread across all three transports, run concurrently
 // with live inject+subscribe streams attached to each.
 func TestConcurrentSessionsStreaming(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{
-		CapacitySecondsPerTick: 1e9,
-		MaxRunning:             32,
-		ChunkTicks:             10,
-	})
+	srv := startTestServer(t, ManagerOptions{MaxRunning: 32, ChunkTicks: 10})
 	transports := []sim.Transport{sim.TransportMPI, sim.TransportPGAS, sim.TransportShmem}
 	const perTransport = 3 // 9 sessions total
 	type outcome struct {
@@ -259,10 +255,7 @@ func TestConcurrentSessionsStreaming(t *testing.T) {
 // the session starts produce the exact trace and bit-identical final
 // state of the same spikes pre-scheduled in Model.Inputs.
 func TestStreamInjectionEquivalence(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{
-		CapacitySecondsPerTick: 1e9,
-		ChunkTicks:             10,
-	})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	mgr := srv.Manager()
 
 	const ticks = 60
@@ -341,7 +334,7 @@ func TestStreamInjectionEquivalence(t *testing.T) {
 // session from the first one's checkpoint reaches a final state
 // bit-identical to one uninterrupted run.
 func TestCheckpointResumeEquivalence(t *testing.T) {
-	mgr := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+	mgr := NewManager(ManagerOptions{ChunkTicks: 10})
 	m := testModel(4, 7)
 	cfg := sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: sim.TransportShmem}
 
@@ -381,7 +374,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 // pause parks at a chunk boundary, resume releases, stop cancels with
 // context.Canceled surfaced as the session error.
 func TestPauseResumeStopLifecycle(t *testing.T) {
-	mgr := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 5})
+	mgr := NewManager(ManagerOptions{ChunkTicks: 5})
 	s, err := mgr.Create(CreateParams{
 		Model: testModel(4, 13),
 		Cfg:   sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: sim.TransportPGAS},
@@ -426,11 +419,7 @@ func TestPauseResumeStopLifecycle(t *testing.T) {
 // per-session Prometheus counter.
 func TestBackpressureDropAccounting(t *testing.T) {
 	const queueCap = 64
-	mgr := NewManager(ManagerOptions{
-		CapacitySecondsPerTick: 1e9,
-		ChunkTicks:             10,
-		SubscriberQueue:        queueCap,
-	})
+	mgr := NewManager(ManagerOptions{ChunkTicks: 10, SubscriberQueue: queueCap})
 	s, err := mgr.Create(CreateParams{
 		Model:       testModel(4, 17),
 		Cfg:         sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: sim.TransportShmem},
@@ -467,25 +456,16 @@ func TestBackpressureDropAccounting(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: sessions costing more than the whole budget are
-// rejected outright; sessions that merely don't fit queue FIFO and
-// promote when capacity frees.
+// TestAdmissionControl: sessions beyond the running-slot limit queue
+// FIFO, a queued session cancels in place, and freeing the slot
+// promotes the next one. The outright refusal (a session larger than
+// the memory budget) is covered by TestMemoryAdmissionSharedImage.
 func TestAdmissionControl(t *testing.T) {
 	m := testModel(4, 5)
 	cfg := sim.Config{Ranks: 2, ThreadsPerRank: 2, Transport: sim.TransportMPI}
-	cost := EstimateCostPerTick(len(m.Cores), cfg.Ranks, cfg.ThreadsPerRank, cfg.Transport)
-	if cost <= 0 {
-		t.Fatalf("EstimateCostPerTick = %g, want > 0", cost)
-	}
 
-	// A budget below one session's cost rejects immediately.
-	tight := NewManager(ManagerOptions{CapacitySecondsPerTick: cost / 2})
-	if _, err := tight.Create(CreateParams{Model: m, Cfg: cfg, Ticks: 10}); !errors.Is(err, ErrOverCapacity) {
-		t.Fatalf("err = %v, want ErrOverCapacity", err)
-	}
-
-	// A budget fitting one session queues the second.
-	mgr := NewManager(ManagerOptions{CapacitySecondsPerTick: cost * 1.5, ChunkTicks: 10})
+	// One slot runs the first session and queues the second.
+	mgr := NewManager(ManagerOptions{MaxRunning: 1, ChunkTicks: 10})
 	first, err := mgr.Create(CreateParams{Model: m, Cfg: cfg, Ticks: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +551,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		HTTPAddr:      "127.0.0.1:0",
 		StreamAddr:    "127.0.0.1:0",
 		CheckpointDir: dir,
-		Manager:       ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10},
+		Manager:       ManagerOptions{ChunkTicks: 10},
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -626,7 +606,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 
 		// Resume in a fresh manager (a successor daemon) for 30 more ticks.
-		mgr2 := NewManager(ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+		mgr2 := NewManager(ManagerOptions{ChunkTicks: 10})
 		resumed, err := mgr2.Create(CreateParams{Model: m, Cfg: cfg, Ticks: 30, StartFrom: cp})
 		if err != nil {
 			t.Fatal(err)
@@ -643,7 +623,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // TestHTTPAPI exercises the control plane end to end over real HTTP.
 func TestHTTPAPI(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{CapacitySecondsPerTick: 1e9, ChunkTicks: 10})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	base := "http://" + srv.HTTPAddr()
 
 	// Encode a model for the "model" source kind.
@@ -773,10 +753,7 @@ func TestHTTPAPI(t *testing.T) {
 // than the step POST, so the server must be able to hold a step until
 // the client's cumulative inject count has been ingested.
 func TestWaitInjectedBarrier(t *testing.T) {
-	srv := startTestServer(t, ManagerOptions{
-		CapacitySecondsPerTick: 1e9,
-		ChunkTicks:             10,
-	})
+	srv := startTestServer(t, ManagerOptions{ChunkTicks: 10})
 	s, err := srv.Manager().Create(CreateParams{
 		Name:  "barrier",
 		Model: &truenorth.Model{Seed: 3, Cores: testModel(2, 3).Cores},

@@ -40,7 +40,7 @@ type State int
 
 const (
 	// StateQueued means admission control accepted the session but is
-	// holding it until capacity frees.
+	// holding it until a slot and memory free.
 	StateQueued State = iota
 	// StateRunning means the runner goroutine is simulating a chunk.
 	StateRunning
@@ -110,7 +110,6 @@ type Session struct {
 	cfg        sim.Config       // decomposition, fixed at admission
 	ticksTotal uint64
 	chunk      int
-	cost       float64 // modelled seconds per tick, from admission control
 
 	source *streamSource
 	sink   *broadcastSink
@@ -176,7 +175,7 @@ type Session struct {
 // comes from the image directly — no simulator is instantiated — so
 // admission of a cached model costs milliseconds, and even a session
 // drained before its first chunk has a resumable (tick 0) state.
-func newSession(id, name string, img *truenorth.Image, cfg sim.Config, ticks uint64, chunk int, cost float64, subQueue int, onExit func(*Session)) (*Session, error) {
+func newSession(id, name string, img *truenorth.Image, cfg sim.Config, ticks uint64, chunk int, subQueue int, onExit func(*Session)) (*Session, error) {
 	if chunk < 1 {
 		chunk = 1
 	}
@@ -195,7 +194,6 @@ func newSession(id, name string, img *truenorth.Image, cfg sim.Config, ticks uin
 		cfg:        cfg,
 		ticksTotal: ticks,
 		chunk:      chunk,
-		cost:       cost,
 		source:     newStreamSource(),
 		sink:       newBroadcastSink(subQueue),
 		tel:        sim.NewTelemetryWithLabels(cfg.Ranks, telemetry.Label{Key: "session", Value: id}),
@@ -215,8 +213,8 @@ func newSession(id, name string, img *truenorth.Image, cfg sim.Config, ticks uin
 // beginStart claims the exclusive right to launch the runner. It
 // returns false when the runner already launched or the session was
 // terminalized while queued — Stop on a queued session (abortQueued)
-// races promotion, and a promotion that loses the race must not charge
-// capacity for a runner that will never run to release it.
+// races promotion, and a promotion that loses the race must not take a
+// slot for a runner that will never run to release it.
 func (s *Session) beginStart() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -377,13 +375,6 @@ func (s *Session) Resume() error {
 	return nil
 }
 
-// StepTicks grants the runner a budget of n further ticks and releases
-// it; the runner simulates chunks until the budget is spent, then parks
-// at that boundary (StatePaused). Repeated calls accumulate. Combined
-// with StartPaused sessions this gives closed-loop clients lock-step
-// control: inject inputs for a window, step exactly the window, read
-// the egress, decide, repeat. Chunk trimming by a batched window is
-// respected — the budget burns by ticks actually simulated.
 // WaitInjected blocks until the session has ingested at least min
 // streamed spikes. It is the step protocol's inject barrier: a stream
 // Send and a control-plane step race over separate connections, so a
@@ -404,6 +395,13 @@ func (s *Session) WaitInjected(min uint64, timeout time.Duration) error {
 	}
 }
 
+// StepTicks grants the runner a budget of n further ticks and releases
+// it; the runner simulates chunks until the budget is spent, then parks
+// at that boundary (StatePaused). Repeated calls accumulate. Combined
+// with StartPaused sessions this gives closed-loop clients lock-step
+// control: inject inputs for a window, step exactly the window, read
+// the egress, decide, repeat. Chunk trimming by a batched window is
+// respected — the budget burns by ticks actually simulated.
 func (s *Session) StepTicks(n uint64) error {
 	if n == 0 {
 		return errors.New("server: step requires ticks >= 1")
@@ -578,16 +576,15 @@ func (s *Session) InjectSpikes(spikes []truenorth.InputSpike) {
 
 // Info is the session's JSON status document.
 type Info struct {
-	ID          string  `json:"id"`
-	Name        string  `json:"name,omitempty"`
-	State       string  `json:"state"`
-	Transport   string  `json:"transport"`
-	Ranks       int     `json:"ranks"`
-	Threads     int     `json:"threads"`
-	Cores       int     `json:"cores"`
-	TicksTotal  uint64  `json:"ticks_total"`
-	TicksDone   uint64  `json:"ticks_done"`
-	CostPerTick float64 `json:"modelled_seconds_per_tick"`
+	ID         string `json:"id"`
+	Name       string `json:"name,omitempty"`
+	State      string `json:"state"`
+	Transport  string `json:"transport"`
+	Ranks      int    `json:"ranks"`
+	Threads    int    `json:"threads"`
+	Cores      int    `json:"cores"`
+	TicksTotal uint64 `json:"ticks_total"`
+	TicksDone  uint64 `json:"ticks_done"`
 	// Node is the hosting daemon's instance ID; Placement records how
 	// the session landed there ("local" for direct creates, the
 	// coordinator's decision string for cluster placements).
@@ -632,7 +629,6 @@ func (s *Session) Info() Info {
 		Cores:       s.img.NumCores(),
 		TicksTotal:  s.ticksTotal,
 		TicksDone:   s.ticksDone,
-		CostPerTick: s.cost,
 		Node:        s.node,
 		Placement:   s.placement,
 		ModelHash:   s.img.Hash(),
